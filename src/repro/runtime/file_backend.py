@@ -74,6 +74,7 @@ from .filestore import (
     FileList,
     MemList,
     Rec,
+    RecordSink,
     flat_width,
     shape_of,
 )
@@ -81,7 +82,6 @@ from .primitives import (
     READ_CHUNK as _READ_CHUNK,
     PrimitiveLibrary,
     _as_list,
-    _BlockWriter,
 )
 from .stats import ExecutionStats
 
@@ -694,15 +694,14 @@ class FileBackend:
         if not isinstance(result, (MemList, FileList)) or not len(result):
             return
         first = result.head()
-        writer = _BlockWriter(
+        writer = RecordSink(
             store,
             store.new_file("output"),
             shape_of(first),
             max(1, int(evaluator.budget) // 4),
         )
         for chunk in result.iter_blocks(_READ_CHUNK):
-            for value in chunk:
-                writer.append(value)
+            writer.extend(chunk)
         writer.flush()
 
     # ------------------------------------------------------------------

@@ -6,7 +6,9 @@ This module provides its storage layer:
 * a fixed-width **record codec** — every stored element occupies exactly
   the byte width the cost model attributes to it (a 512-byte join tuple
   really is 512 bytes on disk), so measured byte counters line up with
-  the estimator's units;
+  the estimator's units.  The recursive :func:`encode_value` /
+  :func:`decode_record` walk defines the format; :func:`codec_for`
+  compiles it per shape into whole-block kernels (DESIGN.md §8.2);
 * :class:`DeviceStore` — one temp directory per hierarchy node, with
   per-request byte/seek counters and syscall timing.  A request that
   does not continue where the previous request on the device left off
@@ -17,16 +19,20 @@ This module provides its storage layer:
   the out-of-core evaluator computes with, behind one small interface
   (length, blocked iteration, O(1) ``tail`` views with shared read-ahead
   windows);
-* :class:`ListBuilder` — an output collector with bounded in-memory
-  buffering: results larger than the modeled root stay on disk, written
-  through block-sized flushes.
+* :class:`RecordSink` — the buffered record writer (one request per
+  write block), and :class:`ListBuilder` — an output collector with
+  bounded in-memory buffering: results larger than the modeled root
+  stay on disk, written through a sink.
 """
 
 from __future__ import annotations
 
 import errno
+import functools
+import itertools
 import os
 import struct
+import sys
 import time
 
 from .faults import (
@@ -44,9 +50,12 @@ __all__ = [
     "flat_width",
     "encode_value",
     "decode_record",
+    "RecordCodec",
+    "codec_for",
     "DeviceStore",
     "FileList",
     "MemList",
+    "RecordSink",
     "ListBuilder",
 ]
 
@@ -96,13 +105,7 @@ def shape_of(value) -> object:
 
 def flat_width(shape) -> int:
     """Total byte width of one record of this shape."""
-    if isinstance(shape, int):
-        return shape
-    if isinstance(shape, tuple):
-        if shape and shape[0] == "run":
-            return flat_width(shape[1])
-        return sum(flat_width(item) for item in shape)
-    raise ValueError(f"bad shape {shape!r}")
+    return codec_for(shape).width
 
 
 def encode_value(value, shape, out: bytearray) -> None:
@@ -151,6 +154,105 @@ def decode_record(buf: memoryview, offset: int, shape):
         value, offset = decode_record(buf, offset, sub)
         items.append(value)
     return tuple(items), offset
+
+
+# ----------------------------------------------------------------------
+# The compiled codec: the reference walk above, specialized per shape
+# ----------------------------------------------------------------------
+class RecordCodec:
+    """Whole-block encode/decode for one shape, compiled once.
+
+    One ``struct.Struct`` carries the layout, padding included
+    (``<q504xq504x`` for two 512-byte fields).  A generated function
+    destructures each value to its int leaves, with the container-type
+    and arity checks of :func:`encode_value`, and packs them; its twin
+    rebuilds values from ``iter_unpack`` rows.  A block the generated
+    encoder rejects (a float or a ``Rec`` at an int leaf, a wrong arity)
+    goes through the reference walk, which coerces or raises.
+    """
+
+    __slots__ = ("shape", "width", "_struct", "_pack_all", "_rebuild_all")
+
+    def __init__(self, shape) -> None:
+        self.shape = shape
+        checks: list[str] = []
+        leaves: list[str] = []
+        widths: list[int] = []
+        consts: dict = {"Rec": Rec}
+
+        def walk(sub, var: str) -> str:
+            """Emit the destructuring of ``var``; return its rebuild."""
+            if isinstance(sub, int):
+                if sub < 8:
+                    raise ValueError(
+                        f"field width {sub} below 8 in shape {shape!r}"
+                    )
+                leaves.append(var)
+                widths.append(sub)
+                return var
+            if not isinstance(sub, tuple):
+                raise ValueError(f"bad shape {sub!r} in {shape!r}")
+            if sub and sub[0] == "run":
+                checks.append(f"if type({var}) is not list: raise ValueError")
+                checks.append(f"[{var}_0] = {var}")
+                return f"[{walk(sub[1], var + '_0')}]"
+            names = [f"{var}_{index}" for index in range(len(sub))]
+            checks.append(
+                f"if type({var}) is not Rec and type({var}) is not tuple:"
+                " raise ValueError"
+            )
+            checks.append(f"[{', '.join(names)}] = {var}")
+            parts = "".join(
+                walk(item, name) + ", " for item, name in zip(sub, names)
+            )
+            if all(isinstance(item, int) for item in sub):
+                consts[f"{var}_w"] = sub
+                return f"Rec(({parts}), {var}_w)"
+            return f"({parts})"
+
+        rebuild = walk(shape, "v")
+        self.width = sum(widths)
+        self._struct = struct.Struct(
+            "<" + "".join(f"q{w - 8}x" if w > 8 else "q" for w in widths)
+        )
+        consts["pack"] = self._struct.pack
+        body = "\n        ".join(checks)
+        source = (
+            "def pack_all(values):\n"
+            "    out = []\n"
+            "    append = out.append\n"
+            "    for v in values:\n"
+            f"        {body}\n"
+            f"        append(pack({', '.join(leaves)}))\n"
+            "    return b''.join(out)\n"
+            "def rebuild_all(rows):\n"
+            f"    return [{rebuild} for [{', '.join(leaves)}] in rows]\n"
+        )
+        exec(compile(source, f"<record codec {shape!r}>", "exec"), consts)
+        self._pack_all = consts["pack_all"]
+        self._rebuild_all = consts["rebuild_all"]
+
+    def encode(self, values) -> bytes:
+        """The concatenated fixed-width encodings of ``values``."""
+        try:
+            return self._pack_all(values)
+        except (ValueError, struct.error):
+            out = bytearray()
+            for value in values:
+                encode_value(value, self.shape, out)
+            return bytes(out)
+
+    def decode(self, data, count: int) -> list:
+        """The ``count`` records held in ``data`` (``count * width`` bytes)."""
+        if not self.width:
+            return self._rebuild_all(itertools.repeat((), count))
+        return self._rebuild_all(self._struct.iter_unpack(data))
+
+
+@functools.lru_cache(maxsize=1024)
+def codec_for(shape) -> RecordCodec:
+    """The shape's compiled codec (cached: shapes are hashable values)."""
+    return RecordCodec(shape)
 
 
 # ----------------------------------------------------------------------
@@ -238,42 +340,58 @@ class DeviceStore:
         handle.seek(offset)
         handle.write(data)
 
-    def _io_with_retry(self, op: str, offset: int, attempt):
-        """Run one logical request to completion or a typed fault."""
+    def _io_with_retry(
+        self, op: str, handle, offset: int, payload, error=None
+    ):
+        """Run one logical request to completion or a typed fault.
+
+        ``error`` is the ``OSError`` of an attempt the caller already
+        made inline; it counts as the first failure.
+        """
+        perform = self._perform_read if op == "read" else self._perform_write
         delays = backoff_delays(self.retry)
         failures = 0
         while True:
-            try:
-                return attempt()
-            except ExecutionFault:
-                raise
-            except OSError as error:
-                failures += 1
-                self.faults_seen += 1
-                real_full = (
-                    getattr(error, "errno", None) == errno.ENOSPC
-                    and not isinstance(error, InjectedFault)
-                )
-                if real_full:
-                    raise ExecutionFault(
-                        self.name, op, offset, f"device full: {error}"
-                    ) from error
-                if failures >= self.retry.attempts:
-                    raise ExecutionFault(
-                        self.name, op, offset,
-                        f"gave up after {failures} attempts: {error}",
-                    ) from error
-                self.retries += 1
-                sleep_for_retry(next(delays, 0.0))
+            if error is None:
+                try:
+                    return perform(handle, offset, payload)
+                except OSError as caught:
+                    error = caught
+            failures += 1
+            self.faults_seen += 1
+            real_full = (
+                getattr(error, "errno", None) == errno.ENOSPC
+                and not isinstance(error, InjectedFault)
+            )
+            if real_full:
+                raise ExecutionFault(
+                    self.name, op, offset, f"device full: {error}"
+                ) from error
+            if failures >= self.retry.attempts:
+                raise ExecutionFault(
+                    self.name, op, offset,
+                    f"gave up after {failures} attempts: {error}",
+                ) from error
+            self.retries += 1
+            sleep_for_retry(next(delays, 0.0))
+            error = None
 
+    # Without a fault plan the request is attempted inline; only an
+    # ``OSError`` or an attached plan enters the retry loop above.
     def read(self, handle, offset: int, nbytes: int) -> bytes:
-        key = (self._key(handle), offset)
-        repositioned = self._head != key
+        key = self._key(handle)
+        repositioned = self._head != (key, offset)
         start = time.perf_counter()
-        data = self._io_with_retry(
-            "read", offset,
-            lambda: self._perform_read(handle, offset, nbytes),
-        )
+        if self.faults is None:
+            try:
+                handle.seek(offset)
+                data = handle.read(nbytes)
+            except OSError as error:
+                data = self._io_with_retry(
+                    "read", handle, offset, nbytes, error
+                )
+        else:
+            data = self._io_with_retry("read", handle, offset, nbytes)
         self.io_time += time.perf_counter() - start
         if self.faults is not None:
             self.io_time += self.faults.latency_penalty(self.name)
@@ -282,17 +400,21 @@ class DeviceStore:
             self.read_seeks += 1
         self.stats.reads += 1
         self.stats.bytes_read += len(data)
-        self._head = (self._key(handle), offset + len(data))
+        self._head = (key, offset + len(data))
         return data
 
     def write(self, handle, offset: int, data: bytes) -> None:
-        key = (self._key(handle), offset)
-        repositioned = self._head != key
+        key = self._key(handle)
+        repositioned = self._head != (key, offset)
         start = time.perf_counter()
-        self._io_with_retry(
-            "write", offset,
-            lambda: self._perform_write(handle, offset, data),
-        )
+        if self.faults is None:
+            try:
+                handle.seek(offset)
+                handle.write(data)
+            except OSError as error:
+                self._io_with_retry("write", handle, offset, data, error)
+        else:
+            self._io_with_retry("write", handle, offset, data)
         self.io_time += time.perf_counter() - start
         if self.faults is not None:
             self.io_time += self.faults.latency_penalty(self.name)
@@ -301,7 +423,7 @@ class DeviceStore:
             self.write_seeks += 1
         self.stats.writes += 1
         self.stats.bytes_written += len(data)
-        self._head = (self._key(handle), offset + len(data))
+        self._head = (key, offset + len(data))
 
     # ------------------------------------------------------------------
     # Phantom requests: counter-identical accounting for I/O a worker
@@ -444,7 +566,7 @@ class FileList:
     """
 
     __slots__ = (
-        "store", "handle", "base", "length", "shape", "elem_bytes",
+        "store", "handle", "base", "length", "shape", "codec", "elem_bytes",
         "start", "sorted", "_window",
     )
 
@@ -464,7 +586,8 @@ class FileList:
         self.base = base
         self.length = length
         self.shape = shape
-        self.elem_bytes = flat_width(shape)
+        self.codec = codec_for(shape)
+        self.elem_bytes = self.codec.width
         self.start = start
         self.sorted = sorted
         # [window_base_index, decoded_values, readahead]
@@ -497,16 +620,14 @@ class FileList:
 
     def _read_records(self, index: int, count: int) -> list:
         nbytes = count * self.elem_bytes
-        data = self.store.read(
-            self.handle, self.base + index * self.elem_bytes, nbytes
-        )
-        view = memoryview(data)
-        out = []
-        offset = 0
-        for _ in range(count):
-            value, offset = decode_record(view, offset, self.shape)
-            out.append(value)
-        return out
+        offset = self.base + index * self.elem_bytes
+        data = self.store.read(self.handle, offset, nbytes)
+        if len(data) != nbytes:
+            raise ExecutionFault(
+                self.store.name, "read", offset,
+                f"short read: got {len(data)} of {nbytes} bytes",
+            )
+        return self.codec.decode(data, count)
 
     def iter_blocks(self, block: int):
         block = max(1, int(block))
@@ -521,6 +642,64 @@ class FileList:
         for chunk in self.iter_blocks(8192):
             out.extend(chunk)
         return out
+
+
+class RecordSink:
+    """Buffered fixed-width record writer: one request per write block.
+
+    Appended values are held as values and encoded a whole block at a
+    time, on the append whose bytes bring the block to ``write_block`` —
+    the append a byte buffer would have flushed on, so request sizes,
+    offsets and the read/write interleaving do not depend on *when*
+    records are encoded.
+    """
+
+    __slots__ = (
+        "store", "handle", "codec", "per_flush", "pending", "offset", "count",
+    )
+
+    def __init__(self, store, handle, shape, write_block: int) -> None:
+        self.store = store
+        self.handle = handle
+        self.codec = codec_for(shape)
+        width = self.codec.width
+        self.per_flush = (
+            -(-max(1, int(write_block)) // width) if width else sys.maxsize
+        )
+        self.pending: list = []
+        self.offset = 0
+        self.count = 0
+
+    def append(self, value) -> None:
+        self.count += 1
+        self.pending.append(value)
+        if len(self.pending) >= self.per_flush:
+            self.flush()
+
+    def extend(self, values: list) -> None:
+        """Append a list, flushing on the same records ``append`` would."""
+        self.count += len(values)
+        step = self.per_flush
+        base = step - len(self.pending)
+        self.pending += values[:base]
+        while len(self.pending) >= step:
+            self.flush()
+            self.pending = values[base : base + step]
+            base += step
+
+    def flush(self) -> None:
+        data = self.codec.encode(self.pending)
+        self.pending = []
+        if data:
+            self.store.write(self.handle, self.offset, data)
+            self.offset += len(data)
+
+    def finish(self, sorted: bool = False) -> FileList:
+        self.flush()
+        return FileList(
+            self.store, self.handle, 0, self.count, self.codec.shape,
+            sorted=sorted,
+        )
 
 
 class ListBuilder:
@@ -541,34 +720,29 @@ class ListBuilder:
     ) -> None:
         self.budget = budget_bytes
         self.spill_store = spill_store
-        self.write_block = max(1, int(write_block))
+        self.write_block = write_block
         self.tag = tag
         self.items: list = []
         self.nbytes = 0.0
-        self.count = 0
         self.shape = None
-        self.handle = None
-        self.file_offset = 0
-        self.buffer = bytearray()
+        self.sink: RecordSink | None = None
         self.storable = True
 
     # ------------------------------------------------------------------
     def append(self, value) -> None:
+        if self.sink is not None:
+            self.sink.append(value)
+            return
         if self.shape is None and self.storable:
             try:
                 self.shape = shape_of(value)
-                self.elem_bytes = flat_width(self.shape)
             except ValueError:
                 # Values holding file handles (e.g. zipped partition
                 # buckets) are bookkeeping, not data: keep them in memory.
                 self.storable = False
                 self.elem_bytes = 0.0
-        self.count += 1
-        if self.handle is not None:
-            encode_value(value, self.shape, self.buffer)
-            if len(self.buffer) >= self.write_block:
-                self._flush()
-            return
+            else:
+                self.elem_bytes = flat_width(self.shape)
         self.items.append(value)
         self.nbytes += self.elem_bytes
         if (
@@ -580,10 +754,6 @@ class ListBuilder:
 
     def extend(self, values) -> None:
         if isinstance(values, (MemList, FileList)):
-            if isinstance(values, MemList) and self.handle is None:
-                for value in values.materialize():
-                    self.append(value)
-                return
             for chunk in values.iter_blocks(8192):
                 for value in chunk:
                     self.append(value)
@@ -593,28 +763,15 @@ class ListBuilder:
 
     # ------------------------------------------------------------------
     def _spill(self) -> None:
-        self.handle = self.spill_store.new_file(self.tag)
-        self.file_offset = 0
-        for value in self.items:
-            encode_value(value, self.shape, self.buffer)
-            if len(self.buffer) >= self.write_block:
-                self._flush()
+        self.sink = RecordSink(
+            self.spill_store, self.spill_store.new_file(self.tag),
+            self.shape, self.write_block,
+        )
+        self.sink.extend(self.items)
         self.items = []
-
-    def _flush(self) -> None:
-        if self.buffer:
-            self.spill_store.write(
-                self.handle, self.file_offset, bytes(self.buffer)
-            )
-            self.file_offset += len(self.buffer)
-            self.buffer = bytearray()
 
     # ------------------------------------------------------------------
     def finish(self, sorted: bool = False):
-        if self.handle is None:
+        if self.sink is None:
             return MemList(self.items, sorted=sorted)
-        self._flush()
-        return FileList(
-            self.spill_store, self.handle, 0, self.count, self.shape,
-            sorted=sorted,
-        )
+        return self.sink.finish(sorted=sorted)

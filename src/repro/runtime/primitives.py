@@ -35,12 +35,12 @@ from .filestore import (
     FileList,
     ListBuilder,
     MemList,
-    encode_value,
+    RecordSink,
     flat_width,
     shape_of,
 )
 
-__all__ = ["PrimitiveLibrary", "_BlockWriter", "_as_list", "READ_CHUNK"]
+__all__ = ["PrimitiveLibrary", "_as_list", "READ_CHUNK"]
 
 #: records per request for untuned bulk scans.
 READ_CHUNK = 8192
@@ -226,7 +226,7 @@ class PrimitiveLibrary:
     def _merge_into_file(self, acc: FileList, value) -> FileList:
         store = acc.store
         handle = store.new_file("sortacc")
-        writer = _BlockWriter(
+        writer = RecordSink(
             store, handle, acc.shape, max(1, int(self.budget) // 4)
         )
         placed = False
@@ -269,7 +269,7 @@ class PrimitiveLibrary:
         segments = [(data, index, 1) for index in range(len(data))]
         while len(segments) > 1:
             handle = store.new_file("sortlevel")
-            writer = _BlockWriter(store, handle, shape, block_out)
+            writer = RecordSink(store, handle, shape, block_out)
             groups = [
                 segments[base : base + arity]
                 for base in range(0, len(segments), arity)
@@ -458,44 +458,12 @@ class PrimitiveLibrary:
     def _write_records(
         self, values, shape, store: DeviceStore, tag: str, sorted=False
     ) -> FileList:
-        writer = _BlockWriter(
+        writer = RecordSink(
             store, store.new_file(tag), shape, max(1, int(self.budget) // 4)
         )
-        for value in values:
-            writer.append(value)
+        writer.extend(values)
         return writer.finish(sorted=sorted)
 
     def _bind(self, pattern: Pattern, value, env: dict) -> None:
         bind_pattern(pattern, value, env)
 
-
-class _BlockWriter:
-    """Buffered fixed-width record writer (one request per flush)."""
-
-    def __init__(self, store, handle, shape, write_block: int) -> None:
-        self.store = store
-        self.handle = handle
-        self.shape = shape
-        self.write_block = max(1, int(write_block))
-        self.buffer = bytearray()
-        self.offset = 0
-        self.count = 0
-
-    def append(self, value) -> None:
-        encode_value(value, self.shape, self.buffer)
-        self.count += 1
-        if len(self.buffer) >= self.write_block:
-            self.flush()
-
-    def flush(self) -> None:
-        if self.buffer:
-            self.store.write(self.handle, self.offset, bytes(self.buffer))
-            self.offset += len(self.buffer)
-            self.buffer = bytearray()
-
-    def finish(self, sorted: bool = False) -> FileList:
-        self.flush()
-        return FileList(
-            self.store, self.handle, 0, self.count, self.shape,
-            sorted=sorted,
-        )

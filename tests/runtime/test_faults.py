@@ -13,6 +13,8 @@ Pins the three contracts the chaos lane builds on:
   :class:`ExecutionFault` (device, op, offset), never a raw traceback.
 """
 
+import errno
+
 import pytest
 
 from repro.hierarchy import KB, hdd_ram_hierarchy
@@ -26,6 +28,7 @@ from repro.ocal.builders import (
     v,
 )
 from repro.runtime import ExecutionConfig, FileBackend, InputSpec
+from repro.runtime.filestore import DeviceStore, FileList, Rec, RecordSink
 from repro.runtime.faults import (
     CHAOS_RATES,
     DEFAULT_RATES,
@@ -235,6 +238,102 @@ class TestPermanentFaults:
         assert isinstance(fault, OSError)
         assert fault.errno is not None
         assert fault.device == "HDD" and fault.offset == 128
+
+
+class TestShortRead:
+    """A file shorter than its list claims is a positioned fault, not a
+    raw ``struct.error`` out of the decoder."""
+
+    SHAPE = (8, 16)
+
+    def stored(self, tmp_path, count=5):
+        store = DeviceStore("HDD", str(tmp_path))
+        sink = RecordSink(store, store.new_file("rel"), self.SHAPE, 1 << 20)
+        sink.extend([Rec((i, -i), self.SHAPE) for i in range(count)])
+        return store, sink.finish()
+
+    def test_truncated_file(self, tmp_path):
+        store, records = self.stored(tmp_path)
+        records.handle.truncate(3 * 24 + 7)
+        with pytest.raises(ExecutionFault) as excinfo:
+            records.materialize()
+        fault = excinfo.value
+        assert (fault.device, fault.op, fault.offset) == ("HDD", "read", 0)
+        assert fault.reason == "short read: got 79 of 120 bytes"
+        store.close()
+
+    def test_length_beyond_the_file(self, tmp_path):
+        store, records = self.stored(tmp_path)
+        longer = FileList(store, records.handle, 0, 7, self.SHAPE)
+        assert len(next(longer.iter_blocks(5))) == 5
+        with pytest.raises(ExecutionFault, match="got 0 of 48") as excinfo:
+            list(longer.iter_blocks(5))
+        assert excinfo.value.offset == 120
+        store.close()
+
+
+class _FlakyHandle:
+    """A file whose first ``failures`` reads/writes raise a real EIO."""
+
+    def __init__(self, handle, failures, code=errno.EIO):
+        self.handle = handle
+        self.name = handle.name
+        self.failures = failures
+        self.code = code
+
+    def seek(self, offset):
+        return self.handle.seek(offset)
+
+    def _maybe_fail(self):
+        if self.failures:
+            self.failures -= 1
+            raise OSError(self.code, "flaky device")
+
+    def read(self, nbytes):
+        self._maybe_fail()
+        return self.handle.read(nbytes)
+
+    def write(self, data):
+        self._maybe_fail()
+        return self.handle.write(data)
+
+
+class TestRealErrorsWithoutAPlan:
+    """With no fault plan attached the request is attempted inline; a
+    real ``OSError`` must still go through the bounded retry, counted as
+    the first failure, and counters advance once per logical request."""
+
+    def test_transient_error_is_retried_once(self, tmp_path):
+        store = DeviceStore("HDD", str(tmp_path))
+        handle = _FlakyHandle(store.new_file("f"), failures=1)
+        store.write(handle, 0, b"x" * 32)
+        assert (store.retries, store.faults_seen) == (1, 1)
+        handle.failures = 2
+        assert store.read(handle, 0, 32) == b"x" * 32
+        assert (store.retries, store.faults_seen) == (3, 3)
+        stats = store.stats
+        assert (stats.reads, stats.writes) == (1, 1)
+        assert (stats.bytes_read, stats.bytes_written) == (32, 32)
+        assert stats.seeks == 2  # one per request, none per retry
+        store.close()
+
+    def test_attempt_budget_counts_the_inline_attempt(self, tmp_path):
+        store = DeviceStore("HDD", str(tmp_path))
+        store.retry = RetryPolicy(attempts=2, base_delay=0.0)
+        handle = _FlakyHandle(store.new_file("f"), failures=2)
+        with pytest.raises(ExecutionFault, match="gave up after 2 attempts"):
+            store.read(handle, 8, 16)
+        assert handle.failures == 0 and store.stats.reads == 0
+        store.close()
+
+    def test_real_enospc_is_permanent(self, tmp_path):
+        store = DeviceStore("HDD", str(tmp_path))
+        handle = _FlakyHandle(store.new_file("f"), 5, code=errno.ENOSPC)
+        with pytest.raises(ExecutionFault, match="device full") as excinfo:
+            store.write(handle, 64, b"y")
+        assert (excinfo.value.op, excinfo.value.offset) == ("write", 64)
+        assert handle.failures == 4 and store.retries == 0
+        store.close()
 
 
 class TestBackoff:
