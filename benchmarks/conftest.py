@@ -37,7 +37,7 @@ def report(request):
         return
     text = "\n\n".join(lines) + "\n"
     ARTIFACTS_PATH.write_text(
-        "Regenerated paper artifacts (see EXPERIMENTS.md for the "
+        "Regenerated paper artifacts (DESIGN.md §8.3 has the "
         "paper-vs-measured discussion)\n"
         + "=" * 78 + "\n\n" + text
     )

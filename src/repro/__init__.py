@@ -21,7 +21,7 @@ Subpackages
 ``repro.rules``      transformation rules (Section 6)
 ``repro.optimizer``  non-linear block/buffer parameter tuning
 ``repro.search``     the breadth-first synthesizer (OCAS proper)
-``repro.codegen``    OCAL -> C text and OCAL -> executable plan compilers
+``repro.codegen``    OCAL -> flat Python and OCAL -> executable plan compilers
 ``repro.runtime``    pluggable execution backends: analytic simulator + real files
 ``repro.workloads``  naive specifications and synthetic relation generators
 ``repro.bench``      harnesses regenerating every table/figure of the paper
@@ -49,33 +49,6 @@ def __getattr__(name):
         from .search import synthesize
 
         return synthesize
-    # Deprecation shims: the exploded pre-api surfaces stay importable
-    # (and warn) so downstream scripts keep working while they migrate.
-    if name == "Synthesizer":
-        import warnings
-
-        from .search import Synthesizer
-
-        warnings.warn(
-            "repro.Synthesizer is deprecated; use repro.api.Session "
-            "(see DESIGN.md §10 for the migration table)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return Synthesizer
-    if name == "compile_candidate":
-        import warnings
-
-        from .codegen.plan import compile_candidate
-
-        warnings.warn(
-            "repro.compile_candidate is deprecated; "
-            "repro.api.Session.synthesize already returns a compiled, "
-            "runnable Job (see DESIGN.md §10)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return compile_candidate
     if name in {
         "hdd_ram_hierarchy",
         "hdd_ram_cache_hierarchy",

@@ -21,8 +21,9 @@ package exposes it as one::
 * :class:`Job` / :class:`JobResult` — the unified, serializable
   artifact (``to_json``/``from_json`` round-trip the tuned plan).
 
-The old surfaces (``repro.Synthesizer``, ``repro.compile_candidate``)
-remain as deprecation shims.
+The pre-api top-level names (``repro.Synthesizer``,
+``repro.compile_candidate``) are gone; ``repro.search`` and
+``repro.codegen`` still hold the machinery this layer drives.
 """
 
 from .catalog import default_registry, validation_scale_names

@@ -1,32 +1,24 @@
 """Code generation: OCAL → runnable Python and → executable plans.
 
-The load-bearing lowering is :mod:`repro.codegen.py_codegen` — tuned
-programs compiled once into flat Python loop nests that the
-``compiled`` backend executes over the real block filestore.  The C
-emitter (:mod:`repro.codegen.c_codegen`) is deprecated: its output is
-illustrative text that never runs.
+The lowering is :mod:`repro.codegen.py_codegen` — tuned programs
+compiled once into flat Python loop nests that the ``compiled`` backend
+executes over the real block filestore.
 """
 
-from .c_codegen import CCodeGenerator, CodegenError, generate_c
 from .plan import ExecutablePlan, PlanError, compile_candidate
 from .py_codegen import (
     CompiledExec,
     clear_exec_cache,
     compile_exec,
-    compiled_exec_enabled,
     exec_cache_size,
 )
 
 __all__ = [
-    "CCodeGenerator",
-    "generate_c",
-    "CodegenError",
     "ExecutablePlan",
     "compile_candidate",
     "PlanError",
     "CompiledExec",
     "compile_exec",
-    "compiled_exec_enabled",
     "exec_cache_size",
     "clear_exec_cache",
 ]

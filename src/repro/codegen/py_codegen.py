@@ -11,38 +11,35 @@ fast lane): an emitter producing statements, ``exec``-compiled into a
 function, cached per hash-consed program identity.
 
 The generated function has the signature ``_exec(env, rt)`` where
-``env`` is the materialized input environment and ``rt`` is the file
-backend's evaluator — an instance of
+``env`` is the materialized input environment and ``rt`` is a plain
 :class:`~repro.runtime.primitives.PrimitiveLibrary`.  Lowering is
-*hybrid*:
+*total* — generated code calls nothing but that library:
 
-* the hot shapes are **inlined** — ``for`` loop nests (element and
-  blocked form, including the seq-ac request widening), λ application
-  with tuple-pattern destructuring into locals, non-merge ``foldL``
-  accumulation, ``flatMap`` over a λ, primitives, ``if``/``[e]``/
-  ``[]``/``⊔``/tuples/projections;
-* everything rare or irreducibly stateful **falls back** to the same
-  evaluator methods the interpreter uses (``rt._exec_treefold``,
-  ``rt._exec_unfold``, ``rt._exec_partition``, ``rt._exec_builtin``,
-  ``rt._eval_app``…), passing an environment dict rebuilt from the
-  compile-time scope.
+* loop shapes are **inlined** — ``for`` loop nests (element and blocked
+  form, including the seq-ac request widening), λ application with
+  tuple-pattern destructuring into locals, non-merge ``foldL``
+  accumulation, ``flatMap``, λ-step ``unfoldR``, primitives,
+  ``if``/``[e]``/``[]``/``⊔``/tuples/projections;
+* the stateful combinators **dispatch statically** onto one primitive
+  each, tuned blocks baked in (``rt.merge_sort``, ``rt._merge_streams``,
+  ``rt._unfold_zip``, ``rt._fold_merge``, ``rt._treefold_generic``,
+  ``rt._funcpow``, ``rt._exec_partition``, ``rt._exec_builtin``);
+* a function in value position (λ or a Figure-2 definition) becomes a
+  nested ``def`` (:meth:`_Emitter.fn_value`), so applying a computed
+  function is a plain call.
 
 **Counter-parity contract**: generated code performs the same filestore
-requests in the same order as the interpreter (every read goes through
-``iter_blocks`` with the same fetch size; every spill through the same
-builders) and bumps ``rt.iterations``/``rt.hashes`` at the same program
-points — so measured byte/seek counters and priced costs are identical,
-and only the per-element dispatch overhead disappears.  The
-differential conformance oracle pins bag-equality across all backends.
-
-``REPRO_COMPILED_EXEC=0`` disables the lane (the compiled backend then
-runs the interpreter path bit-for-bit); the flag is re-read per run so
-tests can toggle it with ``monkeypatch.setenv``.
+requests in the same order as the ``file`` backend's AST walker (every
+read goes through ``iter_blocks`` with the same fetch size; every spill
+through the same builders) and bumps ``rt.iterations``/``rt.hashes`` at
+the same program points — so measured byte/seek counters and priced
+costs are identical, and only the per-element dispatch overhead
+disappears.  The differential conformance oracle pins bag-equality
+across all backends.
 """
 
 from __future__ import annotations
 
-import os
 import re
 
 from ..ocal.ast import (
@@ -79,20 +76,9 @@ from ..runtime.primitives import READ_CHUNK, PrimitiveLibrary, _as_list
 __all__ = [
     "CompiledExec",
     "compile_exec",
-    "compiled_exec_enabled",
     "clear_exec_cache",
     "exec_cache_size",
 ]
-
-
-def compiled_exec_enabled() -> bool:
-    """Is the compiled execution lane enabled?
-
-    Controlled by the ``REPRO_COMPILED_EXEC`` environment variable
-    (default on; ``0`` falls back to the interpreted FileBackend path).
-    Read on every run so tests can flip it with ``monkeypatch.setenv``.
-    """
-    return os.environ.get("REPRO_COMPILED_EXEC", "1") != "0"
 
 
 #: sentinel distinguishing "input absent" from any legitimate value.
@@ -116,6 +102,12 @@ _GLOBALS = {
 }
 
 _IDENT = re.compile(r"[^0-9A-Za-z_]")
+
+#: the Figure-2 definitions: nodes that denote a function without being
+#: a λ.  In value position each lowers to a nested ``def``.
+_DEFINITIONS = (
+    FoldL, FlatMap, TreeFold, UnfoldR, FuncPow, Builtin, HashPartition
+)
 
 #: infix primitives lowered to one Python operator application.
 _BINOPS = {
@@ -183,15 +175,17 @@ class _Emitter:
         self.nodes.append(node)
         return f"_nodes[{len(self.nodes) - 1}]"
 
-    def env_expr(self) -> str:
-        """The interpreter-equivalent environment at this scope: the
-        materialized inputs plus every live compile-time binding."""
-        if not self.bindings:
-            return "env"
+    def env_expr(self, fn: Node) -> str:
+        """The environment slice *fn* reads — the materialized inputs
+        plus the live bindings it mentions.  Only the partition-parallel
+        hook takes one (it ships λ and slice to worker processes)."""
+        free = free_vars(fn)
         pairs = ", ".join(
-            f"{name!r}: {loc}" for name, loc in self.bindings
+            f"{name!r}: {loc}"
+            for name, loc in self.bindings
+            if name in free
         )
-        return "{**env, " + pairs + "}"
+        return "{**env, " + pairs + "}" if pairs else "env"
 
     def emit_raise(self, kind: str, message: str) -> None:
         self.line(f"raise {kind}({message!r})")
@@ -278,20 +272,8 @@ class _Emitter:
             return self.app(expr, sink=None)
         if isinstance(expr, SizeAnnot):
             return self.value(expr.expr)
-        if isinstance(expr, Lam):
-            # Closure values capture the interpreter environment; rare
-            # (general application is itself a fallback), so defer.
-            return self.assign(
-                f"rt.eval({self.node_const(expr)}, {self.env_expr()})"
-            )
-        if isinstance(
-            expr,
-            (FoldL, FlatMap, TreeFold, UnfoldR, FuncPow, Builtin,
-             HashPartition),
-        ):
-            # Function values: applied through _apply_node (parity with
-            # the interpreter, which returns the node itself).
-            return self.node_const(expr)
+        if isinstance(expr, (Lam, *_DEFINITIONS)):
+            return self.fn_value(expr)
         self.emit_raise(
             "ExecutionError", f"cannot execute {type(expr).__name__}"
         )
@@ -458,46 +440,94 @@ class _Emitter:
             self.indent -= 2
         del self.bindings[mark:]
 
+    # -- function values ------------------------------------------------
+    def fn_value(self, fn: Node) -> str:
+        """Lower a function-valued node to a nested ``def f(arg,
+        sink=None)`` and return its name.
+
+        The live bindings *fn* mentions become default arguments: they
+        are snapshotted when the ``def`` executes, like the walker's
+        closures copy their environment, so a function that outlives a
+        loop iteration keeps that iteration's values.  ``flatMap`` and
+        ``unfoldR`` stream into the caller's sink when handed one and
+        then return ``None``; every other function returns its value.
+        """
+        name, arg, sink = self.temp(), self.temp(), self.temp()
+        free = free_vars(fn)
+        captured = {
+            bound: loc for bound, loc in self.bindings if bound in free
+        }
+        params = "".join(f", {loc}={loc}" for loc in captured.values())
+        self.line(f"def {name}({arg}, {sink}=None{params}):")
+        outer, self.bindings = self.bindings, list(captured.items())
+        self.indent += 1
+        if isinstance(fn, (FlatMap, UnfoldR)):
+            self.line(f"if {sink} is not None:")
+            self.indent += 1
+            self.apply(fn, arg, sink)
+            self.line("return None")
+            self.indent -= 1
+        self.line(f"return {self.apply(fn, arg, None)}")
+        self.indent -= 1
+        self.bindings = outer
+        return name
+
     # -- application ---------------------------------------------------
     def app(self, expr: App, sink: str | None) -> str | None:
         """Lower an application.  With *sink*, stream the result into it
         and return ``None``; otherwise return the value expression."""
         fn = expr.fn
+        if isinstance(fn, (Lam, *_DEFINITIONS)):
+            return self.apply(fn, self.as_temp(self.value(expr.arg)), sink)
+        # Computed function value: a plain call of the lowered ``def``.
+        fnv = self.as_temp(self.value(fn))
+        arg = self.as_temp(self.value(expr.arg))
+        self.line(f"if not callable({fnv}):")
+        self.indent += 1
+        self.emit_raise(
+            "ExecutionError",
+            f"cannot execute application of {type(fn).__name__}",
+        )
+        self.indent -= 1
+        if sink is None:
+            return self.assign(f"{fnv}({arg})")
+        result = self.assign(f"{fnv}({arg}, {sink})")
+        self.line(f"if {result} is not None:")
+        self.line(f"    {sink}.extend(_as_list({result}))")
+        return None
+
+    def apply(self, fn: Node, arg: str, sink: str | None) -> str | None:
+        """Apply the syntactic function *fn* to the evaluated *arg*."""
         if isinstance(fn, Lam):
-            arg = self.as_temp(self.value(expr.arg))
             mark = len(self.bindings)
             self.bind_pattern(fn.pattern, arg)
             if sink is not None:
                 self.list_into(fn.body, sink)
                 del self.bindings[mark:]
                 return None
-            result = self.as_temp(self.value(fn.body))
-            out = self.assign(result)
+            out = self.as_temp(self.value(fn.body))
             del self.bindings[mark:]
             return out
-        if isinstance(fn, FlatMap) and isinstance(fn.fn, Lam):
-            return self._app_flatmap(fn, expr.arg, sink)
+        if isinstance(fn, FlatMap):
+            return self._app_flatmap(fn, arg, sink)
+        if isinstance(fn, UnfoldR):
+            return self._app_unfold(fn, arg, sink)
         if isinstance(fn, FoldL):
-            return self._sink_value(self._app_fold(fn, expr.arg), sink)
-        if isinstance(fn, UnfoldR) and isinstance(fn.fn, Lam):
-            # λ steps always take the interpreter's generic path (mrg
-            # and zip are Builtin/FuncPow), so inlining here cannot
-            # diverge from the merge/zip fast lanes.
-            return self._app_unfold(fn, expr.arg, sink)
-        if isinstance(
-            fn,
-            (FlatMap, UnfoldR, TreeFold, Builtin, HashPartition, FuncPow),
-        ):
-            return self._app_node(fn, expr.arg, sink)
-        # General application (computed function value): full fallback.
-        node = self.node_const(expr)
-        if sink is not None:
-            self.line(f"rt.eval_list({node}, {self.env_expr()}, {sink})")
-            return None
-        return self.assign(f"rt._eval_app({node}, {self.env_expr()}, None)")
+            result = self._app_fold(fn, arg)
+        elif isinstance(fn, TreeFold):
+            result = self._app_treefold(fn, arg)
+        elif isinstance(fn, Builtin):
+            result = self.assign(f"rt._exec_builtin({fn.name!r}, {arg})")
+        elif isinstance(fn, HashPartition):
+            result = self.assign(
+                f"rt._exec_partition({arg}, {fn.buckets!r}, {fn.key_index})"
+            )
+        else:
+            result = self.assign(f"{self._funcpow(fn)}({arg})")
+        return self._sink_value(result, sink)
 
     def _sink_value(self, result: str, sink: str | None) -> str | None:
-        """Route a value-producing application per the interpreter's
+        """Route a value-producing application per the walker's
         ``eval_list``: in list position, extend the sink with it."""
         if sink is None:
             return result
@@ -505,46 +535,52 @@ class _Emitter:
         return None
 
     def _app_flatmap(
-        self, fn: FlatMap, arg_node: Node, sink: str | None
+        self, fn: FlatMap, arg: str, sink: str | None
     ) -> str | None:
-        arg = self.as_temp(self.value(arg_node))
         source = self.assign(f"_as_list({arg})")
         self.line(f"if not isinstance({source}, (MemList, FileList)):")
         self.line("    raise ExecutionError('flatMap consumes a non-list')")
         inner = fn.fn
-        # Partition-parallel gate: same runtime hook as the interpreter,
-        # so compiled and interpreted runs dispatch identically; the
-        # inlined loop below is the serial (and NOT_PARALLEL) path.
-        par = self.assign(
-            f"rt.maybe_parallel_flatmap({self.node_const(inner)}, "
-            f"{source}, {self.env_expr()}, "
-            f"{sink if sink is not None else 'None'})"
-        )
-        self.line(f"if {par} is rt.NOT_PARALLEL:")
-        self.indent += 1
+        inlined = isinstance(inner, Lam)
+        if inlined:
+            # Partition-parallel gate: same runtime hook as the walker,
+            # so compiled and interpreted runs dispatch identically; the
+            # inlined loop below is the serial (and NOT_PARALLEL) path.
+            par = self.assign(
+                f"rt.maybe_parallel_flatmap({self.node_const(fn)}, "
+                f"{source}, {self.env_expr(inner)}, "
+                f"{sink if sink is not None else 'None'})"
+            )
+            self.line(f"if {par} is rt.NOT_PARALLEL:")
+            self.indent += 1
         own = sink if sink is not None else self.assign(
             "rt._builder('flatmap')"
         )
+        if not inlined:
+            # Computed element function: loop over the callable.
+            step = self.as_temp(self.value(inner))
         chunk, element = self.temp(), self.temp()
         self.line(f"for {chunk} in {source}.iter_blocks({READ_CHUNK}):")
         self.indent += 1
         self.line(f"for {element} in {chunk}:")
         self.indent += 1
         self.line("rt.iterations += 1")
-        mark = len(self.bindings)
-        self.bind_pattern(inner.pattern, element)
-        self.list_into(inner.body, own)
-        del self.bindings[mark:]
+        if inlined:
+            mark = len(self.bindings)
+            self.bind_pattern(inner.pattern, element)
+            self.list_into(inner.body, own)
+            del self.bindings[mark:]
+        else:
+            self.line(f"{own}.extend(_as_list({step}({element})))")
         self.indent -= 2
+        if not inlined:
+            return None if sink is not None else self.assign(f"{own}.finish()")
         if sink is None:
             self.line(f"{par} = {own}.finish()")
         self.indent -= 1
-        if sink is not None:
-            return None
-        return par
+        return None if sink is not None else par
 
-    def _app_fold(self, fn: FoldL, arg_node: Node) -> str:
-        arg = self.as_temp(self.value(arg_node))
+    def _app_fold(self, fn: FoldL, arg: str) -> str:
         source = self.assign(f"_as_list({arg})")
         self.line(f"if not isinstance({source}, (MemList, FileList)):")
         self.line("    raise ExecutionError('foldL consumes a non-list')")
@@ -584,39 +620,42 @@ class _Emitter:
         return acc
 
     def _app_unfold(
-        self, fn: UnfoldR, arg_node: Node, sink: str | None
+        self, fn: UnfoldR, arg: str, sink: str | None
     ) -> str | None:
-        """Inlined generic unfold: the λ step body compiles once and
-        runs per emitted chunk, instead of the interpreter's per-step
-        env-copy + AST re-walk.  Control flow, fetch requests, and
-        error text mirror ``rt._exec_unfold``/``rt._unfold_generic``
-        exactly, so all measured counters stay identical."""
-        arg = self.as_temp(self.value(arg_node))
-        self.line(f"if not isinstance({arg}, tuple):")
+        """``unfoldR`` dispatches statically on its step: zip and merge
+        run the shared stream primitives, a λ step is inlined (the body
+        compiles once and runs per emitted chunk).  Fetch requests and
+        error text are the walker's, so measured counters stay equal."""
+        lists, fetch = self.temp(), self.temp()
         self.line(
-            "    raise ExecutionError('unfoldR consumes a tuple of lists')"
+            f"{lists}, {fetch} = "
+            f"rt._unfold_streams({arg}, {fn.block_in!r}, {fn.seq!r})"
         )
-        lists = self.assign(f"[_as_list(_i) for _i in {arg}]")
-        block = fn.block_in
-        if isinstance(block, str):
-            self.emit_raise(
-                "ExecutionError", f"unbound block parameter {block!r}"
-            )
-            return "None"
-        block = max(1, block)
         own = sink if sink is not None else self.assign(
             "rt._builder('unfold')"
         )
-        fetch = self.assign(
-            f"min(rt._fetch_block({block}, {fn.seq!r}, _l, "
-            f"streams=max(1, len({lists}))) for _l in {lists}) "
-            f"if {lists} else {block}"
-        )
+        step = fn.fn
+        zipped = isinstance(step, Builtin) and step.name == "zip"
+        if zipped:
+            self.line(f"rt._unfold_zip({lists}, {fetch}, {own})")
+        elif PrimitiveLibrary._is_merge_step(step):
+            self.line(f"rt._merge_streams({lists}, {fetch}, {own})")
+        elif isinstance(step, Lam):
+            self._unfold_loop(step, lists, fetch, own)
+        else:
+            self.emit_raise(
+                "ExecutionError",
+                f"cannot execute unfoldR step {type(step).__name__}",
+            )
+        if sink is not None:
+            return None
+        return self.assign(f"{own}.finish(sorted={not zipped})")
+
+    def _unfold_loop(self, step: Lam, lists: str, fetch: str, own: str) -> None:
         state = self.assign(
             f"tuple(_l.with_readahead({fetch}) for _l in {lists})"
         )
         budget = self.assign(f"sum(len(_l) for _l in {state}) + 1")
-        step = fn.fn
         self.line(f"while any(len(_l) for _l in {state}):")
         self.indent += 1
         self.line(f"if {budget} <= 0:")
@@ -646,42 +685,51 @@ class _Emitter:
         self.line(f"{state} = {result}[1]")
         self.line(f"{budget} -= 1")
         self.indent -= 1
-        if sink is not None:
-            return None
-        return self.assign(f"{own}.finish(sorted=True)")
 
-    def _app_node(
-        self, fn: Node, arg_node: Node, sink: str | None
-    ) -> str | None:
-        """Primitive-library application: the argument is compiled, the
-        combinator itself runs through the same evaluator entry point
-        the interpreter dispatches to."""
-        arg = self.as_temp(self.value(arg_node))
-        node = self.node_const(fn)
-        env = self.env_expr()
-        if isinstance(fn, FlatMap):  # non-λ inner function
-            call = f"rt._exec_flatmap({node}, {arg}, {env}, {sink or None})"
-            if sink is not None:
-                self.line(call)
-                return None
-            return self.assign(call)
-        if isinstance(fn, UnfoldR):
-            call = f"rt._exec_unfold({node}, {arg}, {env}, {sink or None})"
-            if sink is not None:
-                self.line(call)
-                return None
-            return self.assign(call)
-        if isinstance(fn, TreeFold):
-            result = self.assign(f"rt._exec_treefold({node}, {arg}, {env})")
-        elif isinstance(fn, Builtin):
-            result = self.assign(f"rt._exec_builtin({fn.name!r}, {arg})")
-        elif isinstance(fn, HashPartition):
-            result = self.assign(f"rt._exec_partition({node}, {arg})")
-        else:  # FuncPow
-            result = self.assign(
-                f"rt._funcpow_callable({node}, {env})({arg})"
+    def _app_treefold(self, fn: TreeFold, arg: str) -> str:
+        """``treeFold`` over a merge step is the external merge sort
+        with its tuned blocks baked in; any other step runs the
+        Figure-2 queue over the step's callable."""
+        source = self.assign(f"_as_list({arg})")
+        self.line(f"if not isinstance({source}, (MemList, FileList)):")
+        self.line("    raise ExecutionError('treeFold consumes a list')")
+        step = fn.fn
+        if isinstance(step, UnfoldR) and PrimitiveLibrary._is_merge_fn(step):
+            block_in, block_out = step.block_in, step.block_out
+            if isinstance(block_in, str) or isinstance(block_out, str):
+                self.emit_raise(
+                    "ExecutionError", "unbound treeFold block parameters"
+                )
+                return "None"
+            return self.assign(
+                f"rt.merge_sort({source}, {max(1, block_in)}, "
+                f"{max(1, block_out)}, {max(2, fn.arity)})"
             )
-        return self._sink_value(result, sink)
+        if isinstance(step, FuncPow):
+            call = self._funcpow(step)
+        elif isinstance(step, _DEFINITIONS):
+            self.emit_raise(
+                "ExecutionError",
+                f"cannot execute treeFold step {type(step).__name__}",
+            )
+            return "None"
+        else:
+            call = self.as_temp(self.value(step))
+        init = self.as_temp(self.value(fn.init))
+        return self.assign(
+            f"rt._treefold_generic({source}, {call}, {init}, {fn.arity})"
+        )
+
+    def _funcpow(self, expr: FuncPow) -> str:
+        """The 2^k-ary callable of ``funcPow[k](f)``."""
+        if isinstance(expr.fn, _DEFINITIONS):
+            self.emit_raise(
+                "ExecutionError",
+                f"cannot execute funcPow over {type(expr.fn).__name__}",
+            )
+            return "None"
+        fn = self.as_temp(self.value(expr.fn))
+        return self.assign(f"rt._funcpow({fn}, {expr.power})")
 
 
 class CompiledExec:

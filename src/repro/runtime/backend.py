@@ -99,10 +99,6 @@ def _ensure_builtin_backends() -> None:
         from . import compiled_backend  # noqa: F401  (registers itself)
 
 
-# Backwards-compatible alias for the pre-"compiled" helper name.
-_ensure_file_backend = _ensure_builtin_backends
-
-
 def get_backend(backend: "str | ExecutionBackend", **options) -> ExecutionBackend:
     """Resolve a backend name (or pass an instance through).
 

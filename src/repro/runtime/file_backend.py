@@ -18,9 +18,10 @@ bounded buffers.  The result reports
 The out-of-core *primitives* (builders, external merge sort, partition
 buckets, stream merges) live in :mod:`repro.runtime.primitives`; this
 module adds the AST-walking dispatch on top.  The compiled backend
-(:mod:`repro.runtime.compiled_backend`) shares the same primitive
-library from generated flat code, which is what guarantees its byte and
-seek counters match this interpreter's exactly.
+(:mod:`repro.runtime.compiled_backend`) drives a plain primitive library
+from generated flat code, which is what guarantees its byte and seek
+counters match this interpreter's exactly — the walker is the reference
+the parity suite and the conformance oracle compare the lowering to.
 
 The evaluator assumes *linear* use of accumulated lists (a fold's
 accumulator is never observed after the step that extends it), which is
@@ -111,9 +112,9 @@ def materialize_value(value):
 class _Evaluator(PrimitiveLibrary):
     """Concrete out-of-core semantics for tuned OCAL programs.
 
-    The AST-walking dispatch over the shared primitive library; the
-    compiled backend's generated code reaches the same primitives
-    through its ``rt`` argument (an instance of this class).
+    The AST-walking dispatch over the shared primitive library — the
+    ``file`` lane's runtime.  Generated code reaches the same primitives
+    through a plain :class:`PrimitiveLibrary`, never through this class.
     """
 
     # ------------------------------------------------------------------
@@ -294,7 +295,7 @@ class _Evaluator(PrimitiveLibrary):
         if isinstance(fn, Builtin):
             return self._exec_builtin(fn.name, arg)
         if isinstance(fn, HashPartition):
-            return self._exec_partition(fn, arg)
+            return self._exec_partition(arg, fn.buckets, fn.key_index)
         if isinstance(fn, FuncPow):
             return self._funcpow_callable(fn, env)(arg)
         raise ExecutionError(
@@ -357,20 +358,9 @@ class _Evaluator(PrimitiveLibrary):
 
     # ------------------------------------------------------------------
     def _exec_unfold(self, fn: UnfoldR, arg, env: dict, sink):
-        if not isinstance(arg, tuple):
-            raise ExecutionError("unfoldR consumes a tuple of lists")
-        lists = [_as_list(item) for item in arg]
-        block = fn.block_in
-        if isinstance(block, str):
-            raise ExecutionError(f"unbound block parameter {block!r}")
-        block = max(1, block)
+        lists, fetch = self._unfold_streams(arg, fn.block_in, fn.seq)
         own_sink = sink if sink is not None else self._builder("unfold")
         inner = fn.fn
-        fetches = [
-            self._fetch_block(block, fn.seq, lst, streams=max(1, len(lists)))
-            for lst in lists
-        ]
-        fetch = min(fetches) if fetches else block
         if isinstance(inner, Builtin) and inner.name == "zip":
             self._unfold_zip(lists, fetch, own_sink)
         elif self._is_merge_step(inner):
@@ -419,7 +409,17 @@ class _Evaluator(PrimitiveLibrary):
         if not isinstance(source, (MemList, FileList)):
             raise ExecutionError("treeFold consumes a list")
         if not (isinstance(fn.fn, UnfoldR) and self._is_merge_fn(fn.fn)):
-            return self._treefold_generic(fn, source, env)
+            # Non-merge (associative) step: the Figure-2 queue over the
+            # step's callable.
+            step = self.eval(fn.fn, env)
+            if isinstance(step, FuncPow):
+                step = self._funcpow_callable(step, env)
+            if isinstance(step, Node):
+                raise ExecutionError(
+                    f"cannot execute treeFold step {type(fn.fn).__name__}"
+                )
+            init = self.eval(fn.init, env)
+            return self._treefold_generic(source, step, init, fn.arity)
         block_in = fn.fn.block_in
         block_out = fn.fn.block_out
         if isinstance(block_in, str) or isinstance(block_out, str):
@@ -428,83 +428,13 @@ class _Evaluator(PrimitiveLibrary):
             source, max(1, block_in), max(1, block_out), max(2, fn.arity)
         )
 
-    def _treefold_generic(self, fn: TreeFold, source, env: dict):
-        """Figure-2 queue semantics for non-merge (associative) steps.
-
-        The ``fldL-to-trfld`` rule converts associative-commutative folds
-        into treeFolds whose step is a plain lambda (found by the
-        conformance fuzzer); those reduce scalar-sized state, so running
-        the queue in memory is faithful as long as the working set fits
-        the modeled root.
-        """
-        if (
-            isinstance(source, FileList)
-            and len(source) * source.elem_bytes > self.budget
-        ):
-            raise ExecutionError(
-                "non-merge treeFold working set exceeds the root"
-            )
-        step = self.eval(fn.fn, env)
-        if isinstance(step, FuncPow):
-            step = self._funcpow_callable(step, env)
-        if isinstance(step, Node):
-            raise ExecutionError(
-                f"cannot execute treeFold step {type(fn.fn).__name__}"
-            )
-        init = self.eval(fn.init, env)
-        queue: list = []
-        for chunk in source.iter_blocks(_READ_CHUNK):
-            queue.extend(chunk)
-        if not queue:
-            return init
-        arity = fn.arity
-        while len(queue) > 1:
-            batch = queue[:arity]
-            queue = queue[arity:]
-            while len(batch) < arity:
-                batch.append(init)
-            self.iterations += 1
-            queue.append(step(tuple(batch)))
-        return queue[0]
-
     def _funcpow_callable(self, expr: FuncPow, env: dict):
-        """The 2^k-ary callable of ``funcPow[k](f)`` (Figure 2).
-
-        ``inc-branching`` raises treeFold arity by wrapping lambda steps
-        in ``funcPow`` — found unexecutable by the conformance fuzzer.
-        """
         fn = self.eval(expr.fn, env)
         if isinstance(fn, Node):
             raise ExecutionError(
                 f"cannot execute funcPow over {type(expr.fn).__name__}"
             )
-
-        def pow_value(power: int):
-            if power == 1:
-                return fn
-            half = pow_value(power - 1)
-            width = 2 ** (power - 1)
-
-            def combined(args):
-                if not isinstance(args, tuple) or len(args) != 2 * width:
-                    raise ExecutionError(
-                        f"funcPow[{power}] expects a tuple of arity "
-                        f"{2 * width}"
-                    )
-                return fn((half(args[:width]), half(args[width:])))
-
-            return combined
-
-        outer = pow_value(expr.power)
-
-        def entry(args):
-            if expr.power == 1:
-                return fn(args)
-            if not isinstance(args, tuple):
-                raise ExecutionError("funcPow expects a tuple argument")
-            return outer(args)
-
-        return entry
+        return self._funcpow(fn, expr.power)
 
 
 class FileBackend:
@@ -512,6 +442,9 @@ class FileBackend:
     measured counters and the priced cost of what actually happened."""
 
     name = "file"
+    #: the runtime object a run drives: the walker here, a plain
+    #: primitive library under generated code.
+    runtime_class: type[PrimitiveLibrary] = _Evaluator
 
     def __init__(
         self,
@@ -568,7 +501,7 @@ class FileBackend:
                 store.retry = fault_plan.retry
         evaluator = None
         try:
-            evaluator = _Evaluator(config, stores)
+            evaluator = self.runtime_class(config, stores)
             evaluator.fault_plan = fault_plan
             from ..parallel import resolve_workers
 
@@ -600,7 +533,7 @@ class FileBackend:
 
     def _evaluate(self, evaluator: _Evaluator, program: Node, env: dict):
         """Produce the program's result value — the hook the compiled
-        backend overrides with generated code over the same evaluator."""
+        backend overrides with generated code."""
         return evaluator.eval(program, env)
 
     # ------------------------------------------------------------------
@@ -609,7 +542,7 @@ class FileBackend:
         inputs: dict[str, InputSpec],
         config: ExecutionConfig,
         stores: dict[str, DeviceStore],
-        evaluator: _Evaluator,
+        evaluator: PrimitiveLibrary,
     ) -> dict:
         import random
 
@@ -689,7 +622,7 @@ class FileBackend:
         return 1.0, 8.0
 
     def _write_out(
-        self, result, store: DeviceStore, evaluator: _Evaluator
+        self, result, store: DeviceStore, evaluator: PrimitiveLibrary
     ) -> None:
         if not isinstance(result, (MemList, FileList)) or not len(result):
             return
@@ -709,7 +642,7 @@ class FileBackend:
         self,
         config: ExecutionConfig,
         stores: dict[str, DeviceStore],
-        evaluator: _Evaluator,
+        evaluator: PrimitiveLibrary,
         output_card: float,
         output_bytes: float,
         wall: float,

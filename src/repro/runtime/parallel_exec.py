@@ -38,6 +38,7 @@ are processes, so a bailed dispatch has mutated nothing in the parent.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import os
 import shutil
 import tempfile
@@ -46,6 +47,9 @@ from ..ocal.ast import Lam, Node, free_vars
 from ..ocal.serialize import node_from_json, node_to_json
 from ..parallel import chunk_slices
 from .filestore import DeviceStore, FileList, MemList, Rec
+# Chunk boundaries are aligned to the serial loops' READ_CHUNK so worker
+# read requests equal serial read requests.
+from .primitives import READ_CHUNK as _READ_CHUNK, PrimitiveLibrary
 
 __all__ = [
     "Unencodable",
@@ -54,11 +58,6 @@ __all__ = [
     "parallel_flatmap",
     "parallel_merge_level",
 ]
-
-#: must match ``primitives.READ_CHUNK`` — chunk boundaries are aligned
-#: to it so worker read requests equal serial read requests.
-_READ_CHUNK = 8192
-
 
 class Unencodable(Exception):
     """A runtime value that cannot cross the process boundary."""
@@ -311,16 +310,12 @@ def _run_flatmap_chunk(payload):
 def _run_merge_groups(payload):
     config, stores, events, scratch = _worker_context(payload)
     try:
-        from .file_backend import _Evaluator
-
-        evaluator = _Evaluator(config, stores)
+        rt = PrimitiveLibrary(config, stores)
         block_in = payload["block_in"]
         groups = []
         for group in payload["groups"]:
-            import heapq
-
             streams = [
-                evaluator._segment_stream(
+                rt._segment_stream(
                     decode_rt(doc, stores), start, length, block_in
                 )
                 for doc, start, length in group
@@ -328,7 +323,7 @@ def _run_merge_groups(payload):
             sink = _RecordingSink(events)
             marker = len(events)
             for value in heapq.merge(*streams):
-                evaluator.iterations += 1
+                rt.iterations += 1
                 sink.append(value)
             groups.append(
                 [encode_rt(value, allow_files=False) for value in sink.values]
@@ -337,7 +332,7 @@ def _run_merge_groups(payload):
         return {
             "groups": groups,
             "events": events,
-            "iterations": evaluator.iterations,
+            "iterations": rt.iterations,
             "io_time": {
                 name: store.io_time for name, store in stores.items()
             },

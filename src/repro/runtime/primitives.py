@@ -3,18 +3,18 @@
 :class:`PrimitiveLibrary` holds every *non-dispatch* piece of the
 real-file execution semantics: spill-aware list builders, block-size
 request widening under ``seq-ac``, the insertion-sort fold-of-merge, the
-external merge sort behind ``treeFold``, multi-stream zip/merge, the
-Figure-2 builtins, hash partitioning, destructive concatenation, and
-record writing — plus the ``iterations``/``hashes`` counters that feed
+external merge sort and the Figure-2 queue behind ``treeFold``, the
+``funcPow`` combinator, multi-stream zip/merge, the Figure-2 builtins,
+hash partitioning, destructive concatenation, and record writing — plus the ``iterations``/``hashes`` counters that feed
 CPU pricing.
 
 Two callers share it, which is the whole point:
 
-* :class:`~repro.runtime.file_backend._Evaluator` subclasses it and adds
-  the AST-walking dispatch (``eval``/``eval_list``/``_apply_node``);
-* code generated by :mod:`repro.codegen.py_codegen` receives the same
-  evaluator instance as its ``rt`` argument and calls these methods
-  directly from flat loop nests.
+* :class:`~repro.runtime.file_backend._Evaluator` (the ``file`` lane)
+  subclasses it and adds the AST-walking dispatch;
+* code generated by :mod:`repro.codegen.py_codegen` (the ``compiled``
+  lane) receives a plain instance as its ``rt`` argument and calls
+  these methods directly from flat loop nests.
 
 Because both paths drive the identical :mod:`repro.runtime.filestore`
 machinery with identical request sizes, the measured byte/seek counters
@@ -317,9 +317,92 @@ class PrimitiveLibrary:
             length, lst.shape, sorted=True,
         )
 
+    def _treefold_generic(self, source, step, init, arity: int):
+        """Figure-2 queue semantics for non-merge (associative) steps.
+
+        The ``fldL-to-trfld`` rule converts associative-commutative folds
+        into treeFolds whose step is a plain lambda (found by the
+        conformance fuzzer); those reduce scalar-sized state, so running
+        the queue in memory is faithful as long as the working set fits
+        the modeled root.  *step* is a Python callable over one
+        *arity*-tuple.
+        """
+        if (
+            isinstance(source, FileList)
+            and len(source) * source.elem_bytes > self.budget
+        ):
+            raise ExecutionError(
+                "non-merge treeFold working set exceeds the root"
+            )
+        queue: list = []
+        for chunk in source.iter_blocks(READ_CHUNK):
+            queue.extend(chunk)
+        if not queue:
+            return init
+        while len(queue) > 1:
+            batch = queue[:arity]
+            queue = queue[arity:]
+            while len(batch) < arity:
+                batch.append(init)
+            self.iterations += 1
+            queue.append(step(tuple(batch)))
+        return queue[0]
+
+    @staticmethod
+    def _funcpow(fn, power: int):
+        """The 2^k-ary callable of ``funcPow[k](f)`` (Figure 2) over the
+        binary Python callable *fn*.
+
+        ``inc-branching`` raises treeFold arity by wrapping lambda steps
+        in ``funcPow`` — found unexecutable by the conformance fuzzer.
+        """
+
+        def pow_value(level: int):
+            if level == 1:
+                return fn
+            half = pow_value(level - 1)
+            width = 2 ** (level - 1)
+
+            def combined(args):
+                if not isinstance(args, tuple) or len(args) != 2 * width:
+                    raise ExecutionError(
+                        f"funcPow[{level}] expects a tuple of arity "
+                        f"{2 * width}"
+                    )
+                return fn((half(args[:width]), half(args[width:])))
+
+            return combined
+
+        if power == 1:
+            return fn
+        outer = pow_value(power)
+
+        def entry(args):
+            if not isinstance(args, tuple):
+                raise ExecutionError("funcPow expects a tuple argument")
+            return outer(args)
+
+        return entry
+
     # ------------------------------------------------------------------
     # Multi-stream consumption
     # ------------------------------------------------------------------
+    def _unfold_streams(self, arg, block, seq) -> tuple[list, int]:
+        """The stream lists of an ``unfoldR`` argument and the request
+        size they share (the tuned block, widened per stream)."""
+        if not isinstance(arg, tuple):
+            raise ExecutionError("unfoldR consumes a tuple of lists")
+        lists = [_as_list(item) for item in arg]
+        if isinstance(block, str):
+            raise ExecutionError(f"unbound block parameter {block!r}")
+        block = max(1, block)
+        streams = max(1, len(lists))
+        fetches = [
+            self._fetch_block(block, seq, lst, streams=streams)
+            for lst in lists
+        ]
+        return lists, min(fetches) if fetches else block
+
     def _unfold_zip(self, lists, block: int, sink: ListBuilder) -> None:
         iterators = [lst.iter_blocks(block) for lst in lists]
         while True:
@@ -389,11 +472,10 @@ class PrimitiveLibrary:
             return sink.finish()
         raise ExecutionError(f"cannot execute builtin {name!r}")
 
-    def _exec_partition(self, fn, arg):
+    def _exec_partition(self, arg, buckets, key_index: int):
         source = _as_list(arg)
         if not isinstance(source, (MemList, FileList)):
             raise ExecutionError("partition consumes a non-list")
-        buckets = fn.buckets
         if isinstance(buckets, str):
             raise ExecutionError(f"unbound bucket parameter {buckets!r}")
         buckets = max(1, buckets)
@@ -403,7 +485,6 @@ class PrimitiveLibrary:
             ListBuilder(share, store, write_block=share, tag=f"bucket{i}")
             for i in range(buckets)
         ]
-        key_index = fn.key_index
         for chunk in source.iter_blocks(READ_CHUNK):
             for element in chunk:
                 key = element if key_index == 0 else element[key_index - 1]

@@ -3,9 +3,12 @@
 The parity suite (``tests/runtime/test_compiled_parity.py``) and the
 conformance oracle pin end-to-end equivalence; this module pins the
 *mechanics*: generated source shape (tuned blocks baked as constants,
-hot shapes inlined, rare shapes falling back to evaluator methods), the
-per-program cache, evaluation-order/error parity with the interpreter,
-and the escape hatch.
+loop shapes inlined, combinators dispatched statically onto the
+primitive library), the per-program cache, evaluation-order/error
+parity with the interpreter, and — one targeted case per shape —
+that the lowering is total: function values, computed application and
+every combinator run on a plain ``PrimitiveLibrary`` with the same
+values, counters and error text as the ``file`` lane's walker.
 """
 
 import pytest
@@ -14,21 +17,26 @@ from repro.codegen.py_codegen import (
     CompiledExec,
     clear_exec_cache,
     compile_exec,
-    compiled_exec_enabled,
     exec_cache_size,
 )
 from repro.hierarchy import KB, hdd_ram_hierarchy
 from repro.ocal.builders import (
     add,
     app,
+    concat,
     div,
     empty,
     eq,
+    flat_map,
+    fold_l,
     for_,
     func_pow,
+    hash_partition,
     if_,
     lam,
+    length,
     lit,
+    lt,
     mrg,
     proj,
     sing,
@@ -36,6 +44,7 @@ from repro.ocal.builders import (
     tup,
     unfold_r,
     v,
+    zip_,
 )
 from repro.ocal.interp import InterpreterError, evaluate
 from repro.runtime import (
@@ -45,6 +54,9 @@ from repro.runtime import (
     FileBackend,
     InputSpec,
 )
+from repro.runtime.file_backend import _Evaluator, materialize_value
+from repro.runtime.filestore import MemList
+from repro.runtime.primitives import PrimitiveLibrary
 
 
 def scan(block=64):
@@ -87,9 +99,9 @@ class TestGeneratedSource:
         assert a.source != b.source
 
     def test_lambda_step_unfold_is_inlined(self):
-        # λ-step unfolds take the interpreter's *generic* path, so the
-        # compiled form inlines the step loop; merge steps (mrg) keep
-        # the evaluator's fast lane for counter parity.
+        # λ-step unfolds take the walker's *generic* path, so the
+        # compiled form inlines the step loop; merge steps (mrg)
+        # dispatch statically onto the shared stream-merge primitive.
         step = lam(
             "st",
             if_(
@@ -99,17 +111,28 @@ class TestGeneratedSource:
             ),
         )
         lam_unfold = app(unfold_r(step, block_in=4), tup(v("A"), v("B")))
-        assert "rt._exec_unfold" not in compile_exec(lam_unfold).source
+        source = compile_exec(lam_unfold).source
+        assert "while any(" in source
+        assert "rt._merge_streams" not in source
         mrg_unfold = app(unfold_r(mrg(), block_in=4), tup(v("A"), v("B")))
-        assert "rt._exec_unfold" in compile_exec(mrg_unfold).source
+        source = compile_exec(mrg_unfold).source
+        assert "rt._merge_streams(" in source
+        assert "while any(" not in source
 
-    def test_treefold_falls_back_to_evaluator(self):
+    def test_merge_treefold_bakes_tuned_blocks(self):
         sort = app(
-            tree_fold(4, empty(), unfold_r(func_pow(2, mrg()), block_in=8)),
+            tree_fold(
+                4, empty(), unfold_r(func_pow(2, mrg()), block_in=8,
+                                     block_out=16)
+            ),
             v("A"),
         )
         compiled = compile_exec(sort)
-        assert "rt._exec_treefold" in compiled.source
+        # Static dispatch onto the external merge sort: block-in,
+        # block-out and arity are literals, no node is consulted.
+        assert ", 8, 16, 4)" in compiled.source
+        assert "rt.merge_sort(" in compiled.source
+        assert "_nodes" not in compiled.source
 
     def test_source_is_attached_to_function(self):
         compiled = compile_exec(scan())
@@ -176,8 +199,6 @@ class TestScalarSemantics:
 
 class TestBackendEquivalence:
     def test_fold_with_lambda_matches_file(self, tmp_path):
-        from repro.ocal.builders import fold_l
-
         program = for_(
             "xB",
             v("A"),
@@ -228,24 +249,225 @@ class TestBackendEquivalence:
         assert sorted(tuple(r) for r in comp_out) == [(2, 2), (3, 3)]
 
 
-class TestEscapeHatch:
-    def test_flag_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILED_EXEC", raising=False)
-        assert compiled_exec_enabled()
+PLUS = lam(("a", "b"), add(v("a"), v("b")))
 
-    def test_flag_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_EXEC", "0")
-        assert not compiled_exec_enabled()
 
-    def test_disabled_backend_never_compiles(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_EXEC", "0")
-        clear_exec_cache()
-        out = run_captured(
-            CompiledBackend,
-            scan(),
-            {"A": [4, 5, 6]},
-            {"A": InputSpec(3, 8)},
-            tmp_path,
+def both_lanes(program, env=None):
+    """Run *program* in memory on the walker and on generated code over
+    a plain primitive library; return the two observations — value,
+    ``sorted`` flag and CPU counters, or error type and message."""
+    cfg = config(input_locations={})
+    observed = []
+    for lane in ("file", "compiled"):
+        bound = {
+            name: MemList(list(value)) if isinstance(value, list) else value
+            for name, value in (env or {}).items()
+        }
+        try:
+            if lane == "file":
+                rt = _Evaluator(cfg, {})
+                value = rt.eval(program, bound)
+            else:
+                rt = PrimitiveLibrary(cfg, {})
+                assert not hasattr(rt, "eval")
+                value = compile_exec(program).fn(bound, rt)
+        except (ExecutionError, InterpreterError) as error:
+            observed.append((type(error).__name__, str(error)))
+        else:
+            observed.append((
+                materialize_value(value),
+                getattr(value, "sorted", None),
+                rt.iterations,
+                rt.hashes,
+            ))
+    return observed
+
+
+def agreed(program, env=None):
+    """Both lanes' common observation (they must agree exactly)."""
+    walker, generated = both_lanes(program, env)
+    assert generated == walker
+    return generated
+
+
+class TestTotalLowering:
+    """One case per shape the lowering used to hand to the walker."""
+
+    A = [3, 1, 2, 5]
+
+    def test_no_walker_entry_point_in_generated_source(self):
+        program = for_(
+            "x",
+            app(
+                lam("f", app(v("f"), tup(v("A"), v("A")))),
+                unfold_r(mrg()),
+            ),
+            app(flat_map(if_(lit(True), lam("y", sing(v("y"))), length())),
+                app(hash_partition(2), sing(v("x")))),
         )
-        assert sorted(out) == [4, 5, 6]
-        assert exec_cache_size() == 0
+        source = compile_exec(program).source
+        for entry in ("eval", "_exec_flatmap", "_exec_unfold",
+                      "_exec_treefold", "_apply_node"):
+            assert f"rt.{entry}" not in source
+
+    def test_closure_captured_in_a_fold_is_applied_later(self):
+        # Each step wraps the previous accumulator *function*: the
+        # closure must keep its own iteration's acc and e.
+        program = app(
+            app(
+                fold_l(
+                    lam("z", v("z")),
+                    lam(
+                        ("acc", "e"),
+                        lam("y", add(app(v("acc"), v("y")), v("e"))),
+                    ),
+                ),
+                v("A"),
+            ),
+            lit(100),
+        )
+        value, _, iterations, _ = agreed(program, {"A": self.A})
+        assert value == 100 + sum(self.A)
+        assert iterations == len(self.A)
+
+    def test_closures_outlive_the_loop_that_made_them(self):
+        makers = for_("x", v("A"), sing(lam("y", add(v("x"), v("y")))))
+        program = for_("f", makers, sing(app(v("f"), lit(10))))
+        value, *_ = agreed(program, {"A": self.A})
+        assert value == [x + 10 for x in self.A]
+
+    def test_if_selected_function_value_is_applied(self):
+        program = app(
+            if_(lt(lit(1), lit(2)), PLUS, lam(("a", "b"), v("a"))),
+            tup(lit(4), lit(5)),
+        )
+        assert agreed(program)[0] == 9
+        chosen = app(
+            if_(lit(False), fold_l(lit(0), PLUS), length()), v("A")
+        )
+        assert agreed(chosen, {"A": self.A})[0] == len(self.A)
+
+    def test_if_selected_flatmap_streams_into_the_loop_sink(self):
+        once = flat_map(lam("x", sing(v("x"))))
+        twice = flat_map(lam("x", concat(sing(v("x")), sing(v("x")))))
+        program = for_(
+            "xB",
+            v("A"),
+            app(
+                if_(lt(app(length(), v("xB")), lit(2)), once, twice),
+                v("xB"),
+            ),
+            block_in=2,
+        )
+        value, *_ = agreed(program, {"A": self.A + [9]})
+        assert value == [3, 3, 1, 1, 2, 2, 5, 5, 9]
+
+    def test_computed_flatmap_spills_exactly_like_the_walker(self, tmp_path):
+        # Each application emits 32 KB on an 8 KB root.  The walker
+        # streams a computed flatMap into the loop's sink; a private
+        # builder would spill and be re-read — different counters.
+        twice = flat_map(lam("x", concat(sing(v("x")), sing(v("x")))))
+        program = for_(
+            "xB",
+            v("A"),
+            app(if_(lit(True), twice, flat_map(lam("x", empty()))), v("xB")),
+            block_in=2048,
+        )
+        data = {"A": list(range(4096))}
+        specs = {"A": InputSpec(4096, 8)}
+        runs = []
+        for backend_cls in (FileBackend, CompiledBackend):
+            backend = backend_cls(
+                workdir=str(tmp_path / backend_cls.name), data=data,
+                capture_output=True,
+            )
+            result = backend.run(program, specs, config())
+            hdd = result.stats.device("HDD")
+            runs.append((
+                backend.last_output, hdd.reads, hdd.writes, hdd.bytes_read,
+                hdd.bytes_written, hdd.seeks, result.elapsed,
+            ))
+        assert runs[0] == runs[1]
+        assert runs[0][4] == 2 * 4096 * 8  # spilled once, never re-written
+
+    def test_applying_a_non_function_is_the_same_error(self):
+        assert agreed(app(lit(3), lit(4))) == (
+            "ExecutionError", "cannot execute application of Lit"
+        )
+
+    def test_flatmap_over_a_computed_function(self):
+        program = app(
+            lam("f", app(flat_map(v("f")), v("A"))),
+            lam("x", sing(add(v("x"), lit(1)))),
+        )
+        value, _, iterations, _ = agreed(program, {"A": self.A})
+        assert value == [x + 1 for x in self.A]
+        assert iterations == len(self.A)
+
+    def test_non_merge_treefold_runs_the_shared_queue(self):
+        program = app(tree_fold(2, lit(0), PLUS), v("A"))
+        value, _, iterations, _ = agreed(program, {"A": self.A})
+        assert (value, iterations) == (sum(self.A), 3)
+        assert agreed(program, {"A": []})[0] == 0
+        wide = app(tree_fold(4, lit(0), func_pow(2, PLUS)), v("A"))
+        assert agreed(wide, {"A": self.A + [7]})[0] == sum(self.A) + 7
+
+    def test_non_merge_treefold_over_the_root_budget(self, tmp_path):
+        program = app(tree_fold(2, lit(0), PLUS), v("A"))
+        data = {"A": list(range(2000))}  # 16 KB on an 8 KB root
+        specs = {"A": InputSpec(2000, 8)}
+        errors = []
+        for backend_cls in (FileBackend, CompiledBackend):
+            with pytest.raises(ExecutionError) as caught:
+                run_captured(backend_cls, program, data, specs,
+                             tmp_path / backend_cls.name)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+        assert errors[0] == "non-merge treeFold working set exceeds the root"
+
+    def test_unexecutable_steps_are_the_same_errors(self):
+        assert agreed(
+            app(tree_fold(2, lit(0), fold_l(lit(0), PLUS)), v("A")),
+            {"A": self.A},
+        ) == ("ExecutionError", "cannot execute treeFold step FoldL")
+        assert agreed(
+            app(tree_fold(4, lit(0), func_pow(2, mrg())), v("A")),
+            {"A": self.A},
+        ) == ("ExecutionError", "cannot execute funcPow over Builtin")
+        assert agreed(
+            app(unfold_r(length()), tup(v("A"), v("A"))), {"A": self.A}
+        ) == ("ExecutionError", "cannot execute unfoldR step Builtin")
+
+    def test_funcpow_arity_errors(self):
+        quad = func_pow(2, PLUS)
+        assert agreed(app(quad, tup(*map(lit, (1, 2, 3, 4)))))[0] == 10
+        assert agreed(app(quad, tup(lit(1), lit(2), lit(3)))) == (
+            "ExecutionError", "funcPow[2] expects a tuple of arity 4"
+        )
+        assert agreed(app(quad, lit(1))) == (
+            "ExecutionError", "funcPow expects a tuple argument"
+        )
+        octo = app(func_pow(3, PLUS), tup(*map(lit, range(8))))
+        assert agreed(octo)[0] == sum(range(8))
+
+    def test_unfold_merge_is_sorted_and_zip_is_not(self):
+        env = {"A": [1, 3, 5], "B": [2, 4, 6]}
+        merged = app(unfold_r(mrg(), block_in=2), tup(v("A"), v("B")))
+        value, is_sorted, iterations, _ = agreed(merged, env)
+        assert (value, is_sorted, iterations) == ([1, 2, 3, 4, 5, 6], True, 6)
+        zipped = app(unfold_r(zip_(), block_in=2), tup(v("A"), v("B")))
+        value, is_sorted, iterations, _ = agreed(zipped, env)
+        assert (value, is_sorted, iterations) == (
+            [(1, 2), (3, 4), (5, 6)], False, 3
+        )
+
+    def test_definitions_as_values(self):
+        apply_to_a = lambda fn: app(lam("f", app(v("f"), v("A"))), fn)  # noqa: E731
+        value, _, _, hashes = agreed(
+            apply_to_a(hash_partition(2)), {"A": self.A}
+        )
+        assert sorted(sum(value, [])) == sorted(self.A)
+        assert hashes == len(self.A)
+        assert agreed(
+            apply_to_a(tree_fold(2, lit(0), PLUS)), {"A": self.A}
+        )[0] == sum(self.A)

@@ -1,18 +1,21 @@
-"""End-to-end pipeline tests: spec → synthesis → plan → simulation → C.
+"""End-to-end pipeline tests: spec → synthesis → plan → simulation →
+generated code.
 
 These cover the seams between packages that unit tests cannot: tuned
 parameters flowing into executable plans, semantic equivalence of the
-winner at every stage, and the C generator accepting real synthesizer
-output.
+winner at every stage, and the code generator accepting (and running)
+real synthesizer output.
 """
 
 import pytest
 
-from repro.codegen import compile_candidate, generate_c
+from repro.codegen import compile_candidate, compile_exec
 from repro.cost import atom, list_annot, tuple_annot
 from repro.hierarchy import MB, hdd_ram_hierarchy, two_hdd_hierarchy
+from repro.conformance.oracle import output_bag
 from repro.ocal import block_params, evaluate
-from repro.runtime import ExecutionConfig, InputSpec
+from repro.ocal.ast import For, walk
+from repro.runtime import CompiledBackend, ExecutionConfig, InputSpec
 from repro.search import Synthesizer
 from repro.symbolic import var
 from repro.workloads import (
@@ -90,14 +93,41 @@ class TestJoinPipeline:
         }
         assert actual == expected
 
-    def test_c_generation_accepts_winner(self, join_result):
-        code = generate_c(
-            join_result.best.executable(),
-            inputs=["R", "S"],
-            elem_bytes={"R": 512, "S": 512},
+    def test_c_generation_accepts_winner(self, join_result, tmp_path):
+        """The code that actually runs: the winner lowers to flat
+        Python with its tuned block sizes as integer constants, and the
+        generated function computes the reference join."""
+        program = join_result.best.executable()
+        source = compile_exec(program).source
+        blocks = {
+            node.block_in
+            for node in walk(program)
+            if isinstance(node, For) and node.block_in != 1
+        }
+        assert blocks
+        for block in blocks:
+            assert isinstance(block, int)
+            assert f"), {block}):" in source  # the inlined block loop
+        R = make_tuples(40, 6, seed=1)
+        S = make_tuples(30, 6, seed=2)
+        backend = CompiledBackend(
+            workdir=str(tmp_path), data={"R": R, "S": S}, capture_output=True
         )
-        assert "int main(" in code
-        assert "fread" in code
+        backend.run(
+            program,
+            {"R": InputSpec(len(R), 16), "S": InputSpec(len(S), 16)},
+            ExecutionConfig(
+                hierarchy=hdd_ram_hierarchy(8 * MB),
+                input_locations={"R": "HDD", "S": "HDD"},
+            ),
+        )
+        pair_swap = "order-inputs" in join_result.best.derivation
+        assert output_bag(
+            backend.last_output, pair_swap=pair_swap
+        ) == output_bag(
+            evaluate(naive_join_spec(), {"R": R, "S": S}),
+            pair_swap=pair_swap,
+        )
 
 
 class TestSortPipeline:

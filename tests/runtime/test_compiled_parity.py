@@ -14,18 +14,30 @@ winners, not just generated programs:
   re-executed with input cardinalities capped so the real-file runs
   stay test-sized — the tuned table1 block sizes remain baked in.
 
-The escape hatch is pinned here too: with ``REPRO_COMPILED_EXEC=0`` the
-compiled backend must fall back to the interpreted path bit-for-bit.
+Totality is pinned here too: every compiled run in this module goes
+through a backend that refuses a runtime object with an AST walker on
+it, and :class:`TestTotalLowering` pushes the persisted conformance
+corpus and a pinned-seed generator batch (with its sampled rewrite
+closure) through the same backend.
 """
 
 import dataclasses
+import os
 
 import pytest
 
 from repro.api import Session
-from repro.codegen.py_codegen import compile_exec, exec_cache_size
-from repro.conformance.oracle import output_bag
+from repro.codegen.py_codegen import compile_exec
+from repro.conformance import oracle as oracle_module
+from repro.conformance.corpus import corpus_files, load_counterexample
+from repro.conformance.oracle import (
+    Oracle,
+    OracleConfig,
+    output_bag,
+    run_conformance,
+)
 from repro.runtime import CompiledBackend, FileBackend
+from repro.runtime.primitives import PrimitiveLibrary
 
 COUNTERS = (
     "reads", "writes", "bytes_read", "bytes_written", "seeks", "erases"
@@ -34,6 +46,26 @@ COUNTERS = (
 #: runs cap the generated data at validation-scale cardinality (the
 #: *programs* keep their table1-tuned block parameters).
 TABLE1_CARD_CAP = 256
+
+
+#: walker entry points generated code must never mention.
+WALKER_ENTRY_POINTS = (
+    "rt.eval", "rt._eval_app", "rt._apply_node", "rt._exec_flatmap",
+    "rt._exec_unfold", "rt._exec_treefold", "rt._exec_fold",
+    "rt._funcpow_callable",
+)
+
+
+class NoWalkerBackend(CompiledBackend):
+    """CompiledBackend that proves what it hands to generated code: a
+    plain primitive library with no ``eval`` to fall back into."""
+
+    def _evaluate(self, rt, program, env):
+        assert type(rt) is PrimitiveLibrary
+        assert not hasattr(rt, "eval")
+        source = compile_exec(program).source
+        assert not any(entry in source for entry in WALKER_ENTRY_POINTS)
+        return super()._evaluate(rt, program, env)
 
 
 def _capped(inputs: dict, cap: int | None) -> dict:
@@ -49,7 +81,7 @@ def _assert_parity(job, workdir, cap=None):
     """Run the job's plan on both real backends; demand equivalence."""
     inputs = _capped(job.inputs, cap)
     runs = {}
-    for cls, tag in ((FileBackend, "file"), (CompiledBackend, "compiled")):
+    for cls, tag in ((FileBackend, "file"), (NoWalkerBackend, "compiled")):
         backend = cls(
             workdir=str(workdir / tag), seed=7, capture_output=True
         )
@@ -119,25 +151,32 @@ def test_table1_winner_parity(session, parity_dir, name):
     _assert_parity(job, parity_dir / f"t1-{name}", cap=TABLE1_CARD_CAP)
 
 
-class TestEscapeHatch:
-    def test_disabled_compiled_exec_is_bitwise_file_path(
-        self, session, tmp_path, monkeypatch
-    ):
-        """REPRO_COMPILED_EXEC=0 must restore the interpreted path —
-        same bag, same counters, same priced cost, and no new entries
-        in the program cache."""
-        job = session.synthesize("bnl-join", scale="validation")
-        monkeypatch.setenv("REPRO_COMPILED_EXEC", "0")
-        before = exec_cache_size()
-        file_result, comp_result = _assert_parity(job, tmp_path)
-        assert exec_cache_size() == before
-        assert comp_result.backend == "compiled"
-        assert file_result.backend == "file"
+class TestTotalLowering:
+    """No program reaches an AST walker under ``compiled``: the oracle's
+    compiled lane (bag- and counter-equal to its FileBackend run, or the
+    report fails) rides the walker-refusing backend."""
 
-    def test_reenabled_compiled_exec_compiles(self, session, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILED_EXEC", raising=False)
-        job = session.synthesize("bnl-join", scale="validation")
-        before = exec_cache_size()
-        compiled = compile_exec(job.program)
-        assert compile_exec(job.program) is compiled  # cached
-        assert exec_cache_size() >= before
+    CORPUS_DIR = os.path.join(
+        os.path.dirname(__file__), "..", "conformance", "corpus"
+    )
+
+    @pytest.fixture(autouse=True)
+    def no_walker(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "CompiledBackend", NoWalkerBackend)
+
+    def test_conformance_corpus(self):
+        paths = corpus_files(self.CORPUS_DIR)
+        assert paths
+        for path in paths:
+            gen, reason = load_counterexample(path)
+            report = Oracle(OracleConfig(closure_depth=2)).check(gen)
+            assert report.ok, (path, reason, report.failures[0].describe())
+            assert report.compiled_runs == report.file_runs > 0
+
+    def test_pinned_seed_batch_with_sampled_closure(self):
+        batch = run_conformance(
+            seed=0, count=50, oracle_config=OracleConfig(closure_depth=2)
+        )
+        assert batch.ok, [f.describe() for f in batch.failures]
+        assert batch.compiled_runs == batch.file_runs >= 3 * batch.count
+        assert batch.closure_total >= 3 * batch.count

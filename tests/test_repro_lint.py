@@ -104,6 +104,29 @@ def test_sleep_allowed_inside_faults_module():
     assert _codes(source, path="src/repro/runtime/faults.py") == []
 
 
+def test_environment_reads_flagged():
+    assert _codes("import os\nflag = os.environ.get('X', '1')\n") == ["LNT005"]
+    assert _codes("import os\nflag = os.getenv('X')\n") == ["LNT005"]
+    assert _codes("from os import environ\nflag = environ['X']\n") == [
+        "LNT005"
+    ]
+    assert _codes("import os\npath = os.path.join('a', 'b')\n") == []
+
+
+def test_environment_reads_allowed_in_switch_owners():
+    source = "import os\nflag = os.environ.get('REPRO_X', '1')\n"
+    for owner in (
+        "src/repro/runtime/faults.py",
+        "src/repro/parallel.py",
+        "src/repro/search/synthesizer.py",
+        "src/repro/symbolic/compile.py",
+    ):
+        assert _codes(source, path=owner) == []
+    assert _codes(source, path="src/repro/codegen/py_codegen.py") == [
+        "LNT005"
+    ]
+
+
 def test_unknown_path_exits_2(tmp_path):
     assert repro_lint.main([str(tmp_path / "missing")]) == 2
 

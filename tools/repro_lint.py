@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repository-specific AST lint (the ``static-analysis`` CI gate).
 
-Two hazard classes that generic linters don't cover here:
+Hazard classes that generic linters don't cover here:
 
 * **LNT001** — constructing a process/thread pool directly
   (``multiprocessing.Pool``, ``ProcessPoolExecutor``,
@@ -25,6 +25,13 @@ Two hazard classes that generic linters don't cover here:
   testable; a stray sleep elsewhere is either an uncontrolled retry
   loop or a latency hack the fault model cannot see.  (The async
   service waits via ``asyncio.sleep``, which is not flagged.)
+* **LNT005** — reading the process environment (``os.environ``,
+  ``os.getenv``) anywhere outside the four modules that each own one
+  documented ``REPRO_*`` switch (``REPRO_FAULTS``, ``REPRO_PARALLEL``,
+  ``REPRO_VERIFY``, ``REPRO_COMPILED_COST``).  Execution lanes are
+  selected by backend name, not by a process-wide knob; a new
+  environment read is a new hidden mode and has to be argued for by
+  extending the allow-list.
 
 Usage: ``python tools/repro_lint.py [paths...]`` (default: ``src``).
 Exit 0 when clean, 1 with ``path:line: CODE message`` findings, 2 on
@@ -47,6 +54,15 @@ POOL_ALLOWED_FILES = {os.path.join("repro", "parallel.py")}
 
 #: files allowed to call time.sleep: the one blessed backoff helper.
 SLEEP_ALLOWED_FILES = {os.path.join("repro", "runtime", "faults.py")}
+
+#: files allowed to read the environment: one documented switch each.
+ENV_ALLOWED_FILES = {
+    os.path.join("repro", "runtime", "faults.py"),
+    os.path.join("repro", "parallel.py"),
+    os.path.join("repro", "search", "synthesizer.py"),
+    os.path.join("repro", "symbolic", "compile.py"),
+}
+ENV_READERS = {"environ", "getenv"}
 
 
 def _call_name(node: ast.Call) -> str | None:
@@ -84,6 +100,20 @@ def _imports_time_sleep(tree: ast.AST) -> bool:
     return False
 
 
+def _is_env_read(node: ast.AST) -> bool:
+    """``os.environ`` / ``os.getenv`` as an attribute, or either name
+    pulled in by ``from os import ...``."""
+    if isinstance(node, ast.Attribute):
+        return (
+            node.attr in ENV_READERS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        )
+    if isinstance(node, ast.ImportFrom) and node.module == "os":
+        return any(alias.name in ENV_READERS for alias in node.names)
+    return False
+
+
 def _is_sleep_call(node: ast.Call, bare_sleep_is_time: bool) -> bool:
     func = node.func
     if isinstance(func, ast.Attribute) and func.attr == "sleep":
@@ -101,7 +131,19 @@ def check_source(path: str, source: str) -> list[tuple[str, int, str, str]]:
     pool_ok = _path_exempt(path, POOL_ALLOWED_FILES)
     sleep_ok = _path_exempt(path, SLEEP_ALLOWED_FILES)
     bare_sleep_is_time = _imports_time_sleep(tree)
+    env_ok = _path_exempt(path, ENV_ALLOWED_FILES)
     for node in ast.walk(tree):
+        if not env_ok and _is_env_read(node):
+            findings.append(
+                (
+                    path,
+                    node.lineno,
+                    "LNT005",
+                    "environment read outside the modules that own a "
+                    "documented REPRO_* switch; select behaviour by "
+                    "argument or backend name",
+                )
+            )
         if isinstance(node, ast.Call):
             name = _call_name(node)
             if not pool_ok and name in BANNED_POOLS:
