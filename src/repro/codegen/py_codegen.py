@@ -6,8 +6,8 @@ the speed of a hand-written one.  :func:`compile_exec` takes a *tuned*
 Python function — straight-line loop nests with the tuned block sizes
 baked in as integer constants — which
 :class:`~repro.runtime.compiled_backend.CompiledBackend` then calls per
-execution.  The model is :mod:`repro.symbolic.compile` (PR 5's costing
-fast lane): an emitter producing statements, ``exec``-compiled into a
+execution.  The model is :mod:`repro.symbolic.compile` (PR 5's compiled
+costing): an emitter producing statements, ``exec``-compiled into a
 function, cached per hash-consed program identity.
 
 The generated function has the signature ``_exec(env, rt)`` where

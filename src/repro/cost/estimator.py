@@ -43,15 +43,15 @@ registered, capacity terms recorded); a later candidate re-walks only
 the spine from its rewritten position to the root and replays the
 journal for everything else.  Subtrees that allocate fresh spill-buffer
 names (``bout1, bout2, …`` — a global counter) are not cached, since
-their results depend on allocation order.  The cache is gated by the
-``REPRO_COMPILED_COST`` escape hatch along with the rest of the costing
-fast lane, and replay is order-preserving, so cached and uncached
-estimation produce identical estimates.
+their results depend on allocation order.  Replay is order-preserving,
+so cached and uncached estimation produce identical estimates; a
+``CostEstimator`` built without a memo is the from-scratch reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -81,6 +81,7 @@ from ..ocal.ast import (
     Var,
 )
 from ..symbolic import (
+    Add,
     Const,
     Expr,
     Var as SymVar,
@@ -88,7 +89,6 @@ from ..symbolic import (
     ceil,
     ceil_log2,
     compile_expr,
-    compiled_cost_enabled,
     intern_expr,
     simplify,
     smax,
@@ -205,6 +205,7 @@ def _param_box(
     relaxation — and a far tighter one than the raw ``[1, 2^40]`` range,
     which lets block-size terms collapse toward zero.
     """
+    # Lazy on purpose: breaks the ``cost`` ↔ ``optimizer`` import cycle.
     from ..optimizer.penalty import single_param_upper_bound
 
     box: dict[str, tuple[float, ...]] = {}
@@ -229,11 +230,7 @@ def _term_minimum(
     Cost terms are monotone or unimodal in each block parameter, so the
     probe ladder's endpoints and geometric interior capture the minimum.
     """
-    import itertools
-
-    evaluate = (
-        compile_expr(term).fn if compiled_cost_enabled() else term.evaluate
-    )
+    evaluate = compile_expr(term).fn
     if not params:
         try:
             return evaluate(dict(stats))
@@ -275,8 +272,6 @@ def optimistic_cost(estimate: CostEstimate, stats: dict[str, float]) -> float:
     Returns ``inf`` when some term never evaluates — such programs carry
     no usable bound.
     """
-    from ..symbolic import Add
-
     total = estimate.total
     if not estimate.parameters:
         return _term_minimum(total, (), stats, {})
@@ -314,7 +309,7 @@ _CACHED_NODE_TYPES = (App, Concat, For, If, Prim, Proj, Sing, SizeAnnot, Tup)
 #: subtree cache keys restrict the context to them.  Delegates to the
 #: one binder-aware implementation (:func:`repro.ocal.ast.free_vars`)
 #: so the cache key can never drift from the language's scoping rules.
-#: Bounded like the other fast-lane memos: cleared wholesale past the
+#: Bounded like the other costing memos: cleared wholesale past the
 #: cap.
 _NODE_FREE_VARS: dict[Node, frozenset[str]] = {}
 _NODE_FREE_VARS_MAX = 1 << 18
@@ -338,8 +333,7 @@ class CostEstimator:
 
     ``memo`` (optional, duck-typed as :class:`~repro.cost.cache.CostMemo`)
     supplies the cross-candidate subtree cache for incremental
-    re-estimation; it is honored only while the costing fast lane is
-    enabled (``REPRO_COMPILED_COST`` ≠ ``0``).
+    re-estimation; without one every estimate is walked from scratch.
     """
 
     def __init__(self, model: CostModel, memo=None) -> None:
@@ -350,7 +344,7 @@ class CostEstimator:
         self.parameters: set[str] = set()
         self._bout_counter = 0
         self._capacity: dict[str, list[Expr]] = {}
-        self._memo = memo if compiled_cost_enabled() else None
+        self._memo = memo
         self._frames: list[_Frame] = []
 
     # ------------------------------------------------------------------

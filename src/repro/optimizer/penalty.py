@@ -18,16 +18,14 @@ heuristic — "both k1 and k2 should be as big as possible, subject to the
 aforementioned restrictions" — while competing loops (``k1 + k2 ≤ M``)
 get genuinely balanced.
 
-**The costing fast lane (DESIGN.md §11).**  Probe evaluation is the
-synthesis hot path: one tune runs thousands of probes, each evaluating
-the objective and every constraint.  When ``REPRO_COMPILED_COST`` is not
-``0`` the optimizer pre-compiles the whole problem once per tune
-(:func:`repro.symbolic.compile.compile_problem`) and scores each
-pattern-search neighborhood in batch through the compiled bundle.
-Compiled evaluation is bit-identical to the interpreted reference path
-(same operations, same order), so both lanes produce the same tuned
-values, costs, feasibility and evaluation counts — pinned by the
-differential tests.
+**Compiled probes (DESIGN.md §11).**  Probe evaluation is the synthesis
+hot path: one tune runs thousands of probes, each evaluating the
+objective and every constraint.  The optimizer pre-compiles the whole
+problem once per tune (:func:`repro.symbolic.compile.compile_problem`)
+and scores each pattern-search neighborhood in batch through the
+compiled bundle.  Compiled evaluation is bit-identical to scoring each
+probe with :meth:`Expr.evaluate` (same operations, same order) — pinned
+by ``tests/cost/goldens/tuned_reference.json``.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..cost.events import Constraint
-from ..symbolic import Expr, compile_expr, compile_problem, compiled_cost_enabled
+from ..symbolic import Expr, compile_expr, compile_problem
 from ..symbolic.compile import DOMAIN_ERRORS, CompiledProblem
 
 __all__ = [
@@ -47,8 +45,8 @@ __all__ = [
 ]
 
 #: Errors a *structurally valid* expression may raise during numeric
-#: probing — the shared tuple the compiled lane's guards are generated
-#: from, so the two lanes cannot drift.
+#: probing — the shared tuple the compiled bundle's guards are generated
+#: from, so ``_safe_eval`` and the bundle cannot drift.
 _DOMAIN_ERRORS = DOMAIN_ERRORS
 
 #: Additionally tolerated while screening constraints whose variable
@@ -73,7 +71,6 @@ def single_param_upper_bound(
     """
     bound = max_value
     known = set(stats)
-    fast = compiled_cost_enabled()
     for constraint in constraints:
         lhs_vars = constraint.lhs.free_vars()
         rhs_vars = constraint.rhs.free_vars()
@@ -82,12 +79,8 @@ def single_param_upper_bound(
         env = dict(stats)
         env[name] = 1.0
         try:
-            if fast:
-                slope = compile_expr(constraint.lhs)(env)
-                rhs = compile_expr(constraint.rhs)(env)
-            else:
-                slope = constraint.lhs.evaluate(env)
-                rhs = constraint.rhs.evaluate(env)
+            slope = compile_expr(constraint.lhs)(env)
+            rhs = compile_expr(constraint.rhs)(env)
         except _EVAL_ERRORS:
             continue
         if slope > 0 and rhs >= slope:
@@ -124,9 +117,7 @@ class ParameterOptimizer:
     penalty_growth: float = 100.0
     penalty_rounds: int = 4
     _evaluations: int = field(default=0, init=False)
-    _compiled: CompiledProblem | None = field(
-        default=None, init=False, repr=False
-    )
+    _compiled: CompiledProblem = field(init=False, repr=False)
 
     def run(self) -> OptimizationResult:
         """Minimize the cost expression over the named parameters."""
@@ -135,11 +126,9 @@ class ParameterOptimizer:
             self._evaluations += 1
             cost = self._safe_eval(self.cost, self._env({}))
             return OptimizationResult({}, cost, True, self._evaluations)
-        if compiled_cost_enabled():
-            self._compiled = compile_problem(
-                self.cost,
-                [(c.lhs, c.rhs) for c in self.constraints],
-            )
+        self._compiled = compile_problem(
+            self.cost, [(c.lhs, c.rhs) for c in self.constraints]
+        )
 
         bounds = {name: self._upper_bound(name) for name in params}
         # Start at the geometric middle of each parameter's range.
@@ -228,11 +217,11 @@ class ParameterOptimizer:
             improved = False
             # Greedy first-improvement scan: the probe at position i is
             # built from the best point *after* every accept before i.
-            # The compiled lane speculatively scores a chunk of the
-            # remaining neighborhood in one batched pass; an accept
-            # invalidates the chunk's tail, which is rebuilt from the
-            # new best — probe points and accept decisions are identical
-            # to the sequential scan.  The chunk starts small after an
+            # A chunk of the remaining neighborhood is speculatively
+            # scored in one batched pass; an accept invalidates the
+            # chunk's tail, which is rebuilt from the new best — probe
+            # points and accept decisions are identical to the
+            # sequential scan.  The chunk starts small after an
             # accept (accepts cluster early, when speculation would be
             # wasted) and doubles while the scan keeps rejecting, so a
             # converged sweep is scored whole in one pass.
@@ -250,24 +239,17 @@ class ParameterOptimizer:
                     index += 1
                 if not batch:
                     break
-                if self._compiled is not None:
-                    try:
-                        values = self._compiled.score_points(
-                            self.stats, batch, penalty
-                        )
-                    except KeyError as error:
-                        raise self._unbound(error) from None
-                else:
-                    values = None
+                try:
+                    values = self._compiled.score_points(
+                        self.stats, batch, penalty
+                    )
+                except KeyError as error:
+                    raise self._unbound(error) from None
                 accepted = False
-                for offset, candidate in enumerate(batch):
+                for offset, value in enumerate(values):
                     self._count_probe()
-                    if values is not None:
-                        value = values[offset]
-                    else:
-                        value = self._penalized(candidate, penalty)
                     if value < best_value - threshold:
-                        best, best_value = candidate, value
+                        best, best_value = batch[offset], value
                         improved = True
                         accepted = True
                         position = positions[offset] + 1
@@ -287,43 +269,26 @@ class ParameterOptimizer:
 
     @staticmethod
     def _unbound(error: KeyError) -> KeyError:
-        """Re-dress a raw compiled-lane KeyError as the interpreter's.
+        """Re-dress a raw compiled-bundle KeyError as the interpreter's.
 
-        Both lanes surface a malformed problem (a variable bound by
-        neither ``stats`` nor the tuned parameters) as a ``KeyError``
-        with the same message — :meth:`Expr.evaluate`'s contract.
+        A malformed problem (a variable bound by neither ``stats`` nor
+        the tuned parameters) surfaces as a ``KeyError`` with
+        :meth:`Expr.evaluate`'s message.
         """
         return KeyError(f"unbound symbolic variable {error.args[0]!r}")
 
     def _penalized(self, point: dict[str, float], penalty: float) -> float:
-        env = self._env(point)
-        if self._compiled is not None:
-            try:
-                return self._compiled.penalized(env, penalty)
-            except KeyError as error:
-                raise self._unbound(error) from None
-        base = self._safe_eval(self.cost, env)
-        violation = self._violation_in(env)
-        return base + penalty * violation * (1.0 + abs(base))
+        try:
+            return self._compiled.penalized(self._env(point), penalty)
+        except KeyError as error:
+            raise self._unbound(error) from None
 
     def _violation(self, point: dict[str, float]) -> float:
-        env = self._env(point)
         self._evaluations += 2 * len(self.constraints)
-        if self._compiled is not None:
-            try:
-                return self._compiled.violation(env)
-            except KeyError as error:
-                raise self._unbound(error) from None
-        return self._violation_in(env)
-
-    def _violation_in(self, env: dict[str, float]) -> float:
-        total = 0.0
-        for constraint in self.constraints:
-            lhs = self._safe_eval(constraint.lhs, env)
-            rhs = self._safe_eval(constraint.rhs, env)
-            scale = max(1.0, abs(rhs))
-            total += max(0.0, (lhs - rhs) / scale)
-        return total
+        try:
+            return self._compiled.violation(self._env(point))
+        except KeyError as error:
+            raise self._unbound(error) from None
 
     # ------------------------------------------------------------------
     # Bounds, repair, rounding
@@ -371,7 +336,7 @@ class ParameterOptimizer:
         return env
 
     def _safe_eval(self, expr: Expr, env: dict[str, float]) -> float:
-        """Interpreted-lane probe evaluation; domain errors become ``inf``.
+        """The reported cost at one point; domain errors become ``inf``.
 
         Deliberately narrow: a ``KeyError`` (unbound variable) means the
         optimization problem itself is malformed and must surface, not

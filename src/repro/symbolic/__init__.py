@@ -7,11 +7,10 @@ Public surface:
   :func:`smin`, :func:`ceil`, :func:`floor`, :func:`log2`,
   :func:`ceil_div`, :func:`ceil_log2`, :func:`summation`);
 * :func:`~repro.symbolic.simplify.simplify` with closed-form sums;
-* the costing fast lane (DESIGN.md §11): :func:`intern_expr`
-  hash-consing and :mod:`repro.symbolic.compile`'s
+* compiled costing (DESIGN.md §11): :func:`intern_expr` hash-consing
+  and :mod:`repro.symbolic.compile`'s
   :func:`~repro.symbolic.compile.compile_expr` /
-  :func:`~repro.symbolic.compile.compile_problem`, gated by
-  ``REPRO_COMPILED_COST`` (:func:`compiled_cost_enabled`).
+  :func:`~repro.symbolic.compile.compile_problem`.
 """
 
 from .compile import (
@@ -19,7 +18,6 @@ from .compile import (
     CompiledProblem,
     compile_expr,
     compile_problem,
-    compiled_cost_enabled,
 )
 from .expr import (
     ONE,
@@ -91,7 +89,6 @@ __all__ = [
     "CompiledProblem",
     "compile_expr",
     "compile_problem",
-    "compiled_cost_enabled",
     "ZERO",
     "ONE",
 ]

@@ -1,4 +1,4 @@
-"""Expression compilation: the costing fast lane (DESIGN.md §11).
+"""Expression compilation: how costing evaluates (DESIGN.md §11).
 
 Synthesis wall time is dominated by *numeric evaluation* of symbolic
 cost expressions: the pattern-search tuner evaluates the objective and
@@ -15,31 +15,23 @@ floats at compile time; hash-consed subtrees are evaluated once per
 call instead of once per occurrence.
 
 **Exact parity contract**: compiled evaluation performs the *same
-floating-point operations in the same order* as the interpreted
-recursion (sums start at ``0`` and fold left; products start at ``1.0``;
-``ceil``/``floor`` round through ``round(v, 9)``; division checks the
-denominator first; ``log2`` checks positivity) — so compiled and
-interpreted costs are **bit-identical**, which is what lets the
-``REPRO_COMPILED_COST=0`` escape hatch guarantee identical synthesis
-results.  The property/differential tests pin this with exact float
-equality.
+floating-point operations in the same order* as the reference recursion
+:meth:`Expr.evaluate` (sums start at ``0`` and fold left; products start
+at ``1.0``; ``ceil``/``floor`` round through ``round(v, 9)``; division
+checks the denominator first; ``log2`` checks positivity) — so compiled
+costs are **bit-identical** to the reference's.  The property tests pin
+this with exact float equality.
 
 The only permitted divergence is *common-subexpression sharing*: a
 hash-consed subtree is evaluated once per (evaluation scope) instead of
 once per occurrence.  Re-evaluating an identical subtree under an
 identical environment is deterministic, so values (and raised exception
 types) are unchanged.
-
-``REPRO_COMPILED_COST=0`` in the environment disables the fast lane at
-every call site (the optimizer, the admissible bound, the incremental
-estimator cache); the flag is re-read on each query so tests can toggle
-it per-case.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Mapping
 
 from .expr import (
@@ -66,20 +58,9 @@ __all__ = [
     "CompiledProblem",
     "compile_expr",
     "compile_problem",
-    "compiled_cost_enabled",
     "clear_compile_cache",
     "compile_cache_size",
 ]
-
-
-def compiled_cost_enabled() -> bool:
-    """Is the compiled costing fast lane enabled?
-
-    Controlled by the ``REPRO_COMPILED_COST`` environment variable
-    (default on; ``0`` falls back to the interpreted reference path).
-    Read on every call so tests can flip it with ``monkeypatch.setenv``.
-    """
-    return os.environ.get("REPRO_COMPILED_COST", "1") != "0"
 
 
 # ----------------------------------------------------------------------
@@ -269,9 +250,9 @@ class _Emitter:
 
 #: Domain errors a probe evaluation may legitimately raise; anything
 #: else — notably ``KeyError`` from an unbound variable — signals a
-#: malformed problem and propagates.  The single source of truth for
-#: both lanes: the optimizer's interpreted ``_safe_eval`` imports this
-#: same tuple, so compiled and interpreted guards can never drift.
+#: malformed problem and propagates.  The single source of truth: the
+#: optimizer's ``_safe_eval`` (over :meth:`Expr.evaluate`) imports this
+#: same tuple, so the generated guards and its own can never drift.
 DOMAIN_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 
 _GLOBALS = {
@@ -301,8 +282,6 @@ class CompiledExpr:
     """A symbolic expression compiled to a flat evaluator.
 
     * ``expr`` — the (interned) source expression;
-    * ``vars`` — the sorted tuple of free variable names; positional
-      calls supply values in exactly this order;
     * ``fn`` — the raw compiled function ``fn(env) -> float`` (the
       hot-path entry point: no wrapper frame, plain ``KeyError`` on an
       unbound variable).
@@ -311,7 +290,7 @@ class CompiledExpr:
     variable error message.
     """
 
-    __slots__ = ("expr", "vars", "fn", "source")
+    __slots__ = ("expr", "fn", "source")
 
     def __init__(self, expr: Expr) -> None:
         expr = intern_expr(expr)
@@ -320,7 +299,6 @@ class CompiledExpr:
         emitter.line(f"return {result}")
         fn = _exec_function("_compiled", "env", emitter.lines, emitter.consts)
         self.expr = expr
-        self.vars = tuple(sorted(expr.free_vars()))
         self.fn = fn
         self.source = fn.__repro_source__
 
@@ -334,17 +312,8 @@ class CompiledExpr:
                 f"unbound symbolic variable {error.args[0]!r}"
             ) from None
 
-    def call_positional(self, values) -> float:
-        """Evaluate with *values* aligned positionally with :attr:`vars`."""
-        return self.fn(dict(zip(self.vars, values)))
-
-    def evaluate_many(self, envs) -> list[float]:
-        """Evaluate a batch of environments in one pass."""
-        fn = self.fn
-        return [fn(env) for env in envs]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CompiledExpr({self.expr!s}, vars={self.vars})"
+        return f"CompiledExpr({self.expr!s})"
 
 
 #: One compiled evaluator per interned expression, process-wide.  Keyed

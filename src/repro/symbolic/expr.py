@@ -349,7 +349,7 @@ for _cls in _EXPR_CLASSES:
 del _cls
 
 
-#: Bounded like the other fast-lane caches: past the cap the pool is
+#: Bounded like the other costing caches: past the cap the pool is
 #: cleared wholesale.  Interning is purely an optimization — a fresh
 #: canonical instance after a clear only costs cache misses downstream
 #: (callers that kept pre-clear instances still hold valid objects).

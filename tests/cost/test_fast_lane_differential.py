@@ -1,100 +1,192 @@
-"""Differential pin: the costing fast lane is bit-identical (ISSUE 5).
+"""Reference pin: costing is bit-identical to the lane it replaced.
 
-``REPRO_COMPILED_COST=0`` swaps every fast-lane component (compiled
-expression evaluation, the compiled tuning bundle, incremental
-re-estimation) for the interpreted reference path.  This suite runs the
-costing pipeline both ways over **all 17 registry workloads** and
-requires *exact float equality* — estimates, constraints, tuned
-parameter values, tuned costs — plus identical winners and derivations
-on a full synthesis.
+The costing pipeline used to run two ways — compiled (shipped) and an
+interpreted twin scoring every probe with :meth:`Expr.evaluate`.  Before
+the twin was deleted (ISSUE 14) its answers were dumped to
+``goldens/tuned_reference.json`` (the file's ``provenance`` records the
+commit and environment): tuned values, cost, feasibility, evaluation
+count and the admissible bound for **all 17 registry specs** and their
+17 best-first winners (the specs carry no block parameters; the
+winners are the real tuning problems), plus three full syntheses.  This
+suite requires *exact float equality* (``float.hex``) against that
+golden, and checks incremental re-estimation against the memo-less
+``CostEstimator``.
+
+Regenerate (only ever from a tree whose costing is trusted)::
+
+    PYTHONPATH=src python tests/cost/test_fast_lane_differential.py \
+        "<provenance>" > tests/cost/goldens/tuned_reference.json
 """
+
+import json
+import os
+import sys
 
 import pytest
 
 from repro.api import Session, default_registry
 from repro.cost.cache import CostMemo
-from repro.cost.estimator import CostEstimator, CostModel
+from repro.cost.estimator import (
+    CostEstimator,
+    CostModel,
+    EstimatorError,
+    optimistic_cost,
+)
+from repro.ocal.serialize import node_from_json, node_to_json
+from repro.rules import RuleContext, default_rules, iter_rewrites
 
 REGISTRY = default_registry()
 ALL_WORKLOADS = REGISTRY.names()
+SYNTHESIS_WORKLOADS = ["bnl-join", "aggregation", "external-sort"]
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "goldens", "tuned_reference.json"
+)
 
 
-def _cost_spec(experiment, monkeypatch, compiled: bool, memo=None):
-    """Estimate + tune one workload's spec under the chosen lane."""
-    monkeypatch.setenv("REPRO_COMPILED_COST", "1" if compiled else "0")
-    model = CostModel(
+def _model(experiment) -> CostModel:
+    return CostModel(
         hierarchy=experiment.hierarchy,
         input_annots=experiment.input_annots,
         input_locations=experiment.input_locations,
         output_location=experiment.output_location,
         stats=experiment.stats,
     )
-    memo = memo if memo is not None else CostMemo()
-    estimate = memo.estimate(
-        experiment.spec,
-        lambda: CostEstimator(model, memo=memo).estimate(experiment.spec),
+
+
+def _tuned_snapshot(workload: str, program=None) -> dict:
+    """Estimate + tune + bound one program (default: the workload's
+    spec) against the workload's cost model, floats as hex."""
+    experiment = REGISTRY.experiment(workload)
+    program = experiment.spec if program is None else program
+    memo = CostMemo()
+    estimate = CostEstimator(_model(experiment), memo=memo).estimate(program)
+    stats = dict(experiment.stats)
+    tuned = memo.tune(estimate, stats)
+    return {
+        "values": dict(sorted(tuned.values.items())),
+        "cost": float.hex(tuned.cost),
+        "feasible": tuned.feasible,
+        "evaluations": tuned.evaluations,
+        "optimistic_cost": float.hex(optimistic_cost(estimate, stats)),
+    }
+
+
+def _winner_snapshot(workload: str) -> dict:
+    """The best-first winner's tuning problem, program included."""
+    winner = Session(strategy="best-first").synthesize(workload).winner
+    return {
+        "program": json.dumps(node_to_json(winner)),
+        **_tuned_snapshot(workload, winner),
+    }
+
+
+def _synthesis_snapshot(workload: str) -> dict:
+    job = Session(strategy="best-first").synthesize(
+        workload, scale="validation"
     )
-    tuned = memo.tune(estimate, dict(experiment.stats))
-    return estimate, tuned
+    return {
+        "winner": str(job.winner),
+        "derivation": list(job.derivation),
+        "opt_cost": float.hex(job.opt_cost),
+        "spec_cost": float.hex(job.spec_cost),
+        "parameter_values": dict(sorted(job.plan.parameter_values.items())),
+    }
 
 
-def test_all_17_registry_workloads_are_registered():
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def test_all_17_registry_workloads_are_registered(golden):
     assert len(ALL_WORKLOADS) == 17
+    assert sorted(golden["tuned"]) == sorted(ALL_WORKLOADS)
 
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS)
-def test_compiled_costs_exactly_equal_interpreted(workload, monkeypatch):
-    experiment = REGISTRY.experiment(workload)
-    interpreted_est, interpreted = _cost_spec(
-        experiment, monkeypatch, compiled=False
-    )
-    compiled_est, compiled = _cost_spec(
-        REGISTRY.experiment(workload), monkeypatch, compiled=True
-    )
-    # The symbolic problem is identical …
-    assert compiled_est.total == interpreted_est.total
-    assert compiled_est.constraints == interpreted_est.constraints
-    assert compiled_est.parameters == interpreted_est.parameters
-    # … and so is the numeric tuning, to the last bit.
-    assert compiled.values == interpreted.values
-    assert compiled.cost == interpreted.cost
-    assert compiled.feasible == interpreted.feasible
-    assert compiled.evaluations == interpreted.evaluations
+def test_compiled_costs_exactly_equal_interpreted(workload, golden):
+    assert _tuned_snapshot(workload) == golden["tuned"][workload]
 
 
-@pytest.mark.parametrize(
-    "workload", ["bnl-join", "aggregation", "external-sort"]
-)
-def test_full_synthesis_identical_across_lanes(workload, monkeypatch):
-    def run(flag):
-        monkeypatch.setenv("REPRO_COMPILED_COST", flag)
-        session = Session(strategy="best-first")
-        return session.synthesize(workload, scale="validation")
-
-    interpreted = run("0")
-    compiled = run("1")
-    assert compiled.winner == interpreted.winner
-    assert compiled.derivation == interpreted.derivation
-    assert compiled.opt_cost == interpreted.opt_cost  # exact
-    assert compiled.spec_cost == interpreted.spec_cost
-    assert (
-        compiled.plan.parameter_values == interpreted.plan.parameter_values
-    )
+@pytest.mark.parametrize("workload", ALL_WORKLOADS)
+def test_tuned_winner_exactly_equals_interpreted(workload, golden):
+    """Where the pattern search, repair and rounding actually run."""
+    want = dict(golden["winners"][workload])
+    program = node_from_json(json.loads(want.pop("program")))
+    assert want["evaluations"] > 1 and want["values"]
+    assert _tuned_snapshot(workload, program) == want
 
 
-def test_incremental_estimation_disabled_on_interpreted_lane(monkeypatch):
-    experiment = REGISTRY.experiment("bnl-join", "validation")
-    model = CostModel(
+@pytest.mark.parametrize("workload", SYNTHESIS_WORKLOADS)
+def test_full_synthesis_identical_across_lanes(workload, golden):
+    assert _synthesis_snapshot(workload) == golden["synthesis"][workload]
+
+
+def _rewrite_closure(experiment, depth: int = 2) -> list:
+    """Every program within *depth* rewrites of the spec, spec first."""
+    rules = default_rules()
+    ctx = RuleContext(
         hierarchy=experiment.hierarchy,
-        input_annots=experiment.input_annots,
-        input_locations=experiment.input_locations,
+        input_locations=dict(experiment.input_locations),
         output_location=experiment.output_location,
-        stats=experiment.stats,
     )
+    seen = {experiment.spec: None}
+    frontier = [experiment.spec]
+    for _ in range(depth):
+        children = []
+        for program in frontier:
+            for rewrite in iter_rewrites(program, rules, ctx):
+                if rewrite.program not in seen:
+                    seen[rewrite.program] = None
+                    children.append(rewrite.program)
+        frontier = children
+    return list(seen)
+
+
+def _estimate_outcome(estimator: CostEstimator, program):
+    """The comparable parts of an estimate, or the failure type."""
+    try:
+        estimate = estimator.estimate(program)
+    except EstimatorError as error:
+        return type(error)
+    return (
+        estimate.total,
+        estimate.constraints,
+        estimate.parameters,
+        estimate.events,
+    )
+
+
+@pytest.mark.parametrize("workload", SYNTHESIS_WORKLOADS)
+def test_incremental_estimation_equals_from_scratch(workload):
+    """ONE memo shared across a rewrite closure changes no estimate."""
+    experiment = REGISTRY.experiment(workload, "validation")
+    model = _model(experiment)
     memo = CostMemo()
-    monkeypatch.setenv("REPRO_COMPILED_COST", "0")
-    CostEstimator(model, memo=memo).estimate(experiment.spec)
-    assert memo.sizes()[2] == 0  # no subtree entries on the slow lane
-    monkeypatch.setenv("REPRO_COMPILED_COST", "1")
-    CostEstimator(model, memo=memo).estimate(experiment.spec)
+    programs = _rewrite_closure(experiment)
+    assert len(programs) > 1
+    for program in programs:
+        incremental = _estimate_outcome(
+            CostEstimator(model, memo=memo), program
+        )
+        assert incremental == _estimate_outcome(CostEstimator(model), program)
     assert memo.sizes()[2] > 0
+
+
+if __name__ == "__main__":
+    json.dump(
+        {
+            "provenance": sys.argv[1],
+            "tuned": {name: _tuned_snapshot(name) for name in ALL_WORKLOADS},
+            "winners": {name: _winner_snapshot(name) for name in ALL_WORKLOADS},
+            "synthesis": {
+                name: _synthesis_snapshot(name)
+                for name in SYNTHESIS_WORKLOADS
+            },
+        },
+        sys.stdout,
+        indent=1,
+        sort_keys=True,
+    )
+    sys.stdout.write("\n")

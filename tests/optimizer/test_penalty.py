@@ -235,51 +235,3 @@ class TestSafeEvalNarrowing:
         ]
         with pytest.raises(KeyError, match="unbound symbolic variable"):
             optimize_parameters(cost, constraints, {"k1"}, {"x": 1e6})
-
-    def test_malformed_problem_surfaces_on_interpreted_lane_too(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_COMPILED_COST", "0")
-        cost = var("x") / var("k1") + var("not_a_binding")
-        constraints = [Constraint(Const(1), var("k1"))]
-        with pytest.raises(KeyError):
-            optimize_parameters(cost, constraints, {"k1"}, {"x": 1e6})
-
-
-class TestCompiledLaneParity:
-    """The REPRO_COMPILED_COST escape hatch is bit-identical (ISSUE 5)."""
-
-    def _problem(self):
-        program = for_(
-            "xB",
-            v("R"),
-            for_("yB", v("S"), sing(tup(v("xB"), v("yB"))), block_in="k2"),
-            block_in="k1",
-        )
-        stats = {"x": 2.0**21, "y": 2.0**16}
-        model = CostModel(
-            hierarchy=hdd_ram_hierarchy(8 * MB),
-            input_annots={
-                "R": list_annot(atom(8), var("x")),
-                "S": list_annot(atom(8), var("y")),
-            },
-            input_locations={"R": "HDD", "S": "HDD"},
-            stats=stats,
-        )
-        estimate = CostEstimator(model).estimate(program)
-        return estimate, stats
-
-    def test_compiled_and_interpreted_tunes_are_identical(self, monkeypatch):
-        estimate, stats = self._problem()
-        monkeypatch.setenv("REPRO_COMPILED_COST", "0")
-        interpreted = optimize_parameters(
-            estimate.total, estimate.constraints, estimate.parameters, stats
-        )
-        monkeypatch.setenv("REPRO_COMPILED_COST", "1")
-        compiled = optimize_parameters(
-            estimate.total, estimate.constraints, estimate.parameters, stats
-        )
-        assert interpreted.values == compiled.values
-        assert interpreted.cost == compiled.cost  # exact float equality
-        assert interpreted.feasible == compiled.feasible
-        assert interpreted.evaluations == compiled.evaluations

@@ -1,19 +1,29 @@
 """Property tests for the compiled expression evaluator (ISSUE 5).
 
-The fast lane's contract is *exact* agreement with the interpreted
-reference: compiled evaluation must return bit-identical floats (and
-raise the same exception types at the same inputs) as
-:meth:`Expr.evaluate`.  A seeded generator — the conformance suite's
-seeding style — drives randomly shaped expressions over random
-environments, including ``Fraction`` constants and integer powers.
+Compiled costing's contract is *exact* agreement with the reference:
+compiled evaluation must return bit-identical floats (and raise the
+same exception types at the same inputs) as :meth:`Expr.evaluate`.  A
+seeded generator — the conformance suite's seeding style — drives
+randomly shaped expressions over random environments, including
+``Fraction`` constants and integer powers; the whole-problem bundle
+(:class:`CompiledProblem`) is checked against a reference written here
+over ``Expr.evaluate`` on the 17 registry winners' tuning problems.
 """
 
+import functools
+import json
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+from repro.api import default_registry
+from repro.cost.estimator import CostEstimator, CostModel
+from repro.cost.events import Constraint
+from repro.ocal.serialize import node_from_json
+from repro.optimizer.penalty import ParameterOptimizer, single_param_upper_bound
 from repro.symbolic import (
     Add,
     Ceil,
@@ -30,7 +40,7 @@ from repro.symbolic import (
     compile_expr,
     intern_expr,
 )
-from repro.symbolic.compile import CompiledExpr
+from repro.symbolic.compile import DOMAIN_ERRORS, CompiledExpr, compile_problem
 
 VAR_NAMES = ("x", "y", "k1", "bout")
 
@@ -99,8 +109,8 @@ class TestCompiledMatchesInterpreted:
             compiled = compile_expr(expr)
             want = _outcome(lambda: expr.evaluate(env))
             got = _outcome(lambda: compiled(env))
-            # Exact float equality, not approx: the fast lane must be
-            # bit-identical to the interpreter.
+            # Exact float equality, not approx: compiled evaluation must
+            # be bit-identical to the interpreter.
             assert want == got, (
                 f"seed={seed} index={index}: interpreted {want} != "
                 f"compiled {got} for {expr}"
@@ -160,24 +170,6 @@ class TestCompiledMatchesInterpreted:
 
 
 class TestCompiledExprSurface:
-    def test_vars_tuple_is_sorted_free_vars(self):
-        compiled = compile_expr(Var("y") * Var("a") + Var("m"))
-        assert compiled.vars == ("a", "m", "y")
-
-    def test_call_positional_aligns_with_vars(self):
-        expr = Var("a") + Var("b") * 2
-        compiled = compile_expr(expr)
-        assert compiled.vars == ("a", "b")
-        assert compiled.call_positional((3, 4)) == expr.evaluate(
-            {"a": 3, "b": 4}
-        )
-
-    def test_evaluate_many_batches(self):
-        expr = Var("x") * Var("x")
-        compiled = compile_expr(expr)
-        envs = [{"x": v} for v in (1.0, 2.0, 3.0)]
-        assert compiled.evaluate_many(envs) == [1.0, 4.0, 9.0]
-
     def test_compile_cache_returns_same_object_for_equal_structure(self):
         a = compile_expr(Var("x") + 1)
         b = compile_expr(Var("x") + 1)
@@ -186,3 +178,148 @@ class TestCompiledExprSurface:
     def test_compiled_expr_is_interned(self):
         compiled = CompiledExpr(Var("q") / 2)
         assert compiled.expr is intern_expr(Var("q") / 2)
+
+
+# ----------------------------------------------------------------------
+# The whole-problem bundle against a reference over Expr.evaluate
+# ----------------------------------------------------------------------
+REGISTRY = default_registry()
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "..", "cost", "goldens", "tuned_reference.json"
+)
+PENALTIES = (1e3, 1e5)
+
+
+def _guarded(expr, env):
+    try:
+        return expr.evaluate(env)
+    except DOMAIN_ERRORS:
+        return math.inf
+
+
+def _reference_violation(constraints, env):
+    total = 0.0
+    for constraint in constraints:
+        lhs, rhs = _guarded(constraint.lhs, env), _guarded(constraint.rhs, env)
+        total += max(0.0, (lhs - rhs) / max(1.0, abs(rhs)))
+    return total
+
+
+def _reference_penalized(cost, constraints, env, penalty):
+    base = _guarded(cost, env)
+    violation = _reference_violation(constraints, env)
+    return base + penalty * violation * (1.0 + abs(base))
+
+
+def _hex(values):
+    """Exact comparison form: distinguishes nothing ``==`` would not,
+    except that NaN equals itself."""
+    return [float.hex(value) for value in values]
+
+
+@functools.cache
+def _golden_winners():
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        return json.load(handle)["winners"]
+
+
+def _winner_problem(workload):
+    """(estimate, stats, tuned values) of one registry winner."""
+    entry = _golden_winners()[workload]
+    experiment = REGISTRY.experiment(workload)
+    model = CostModel(
+        hierarchy=experiment.hierarchy,
+        input_annots=experiment.input_annots,
+        input_locations=experiment.input_locations,
+        output_location=experiment.output_location,
+        stats=experiment.stats,
+    )
+    program = node_from_json(json.loads(entry["program"]))
+    estimate = CostEstimator(model).estimate(program)
+    return estimate, dict(experiment.stats), entry["values"]
+
+
+def _probe_points(workload, estimate, stats, tuned):
+    """Start point, tuned point and 32 seeded in-box points."""
+    bounds = {
+        name: single_param_upper_bound(name, estimate.constraints, stats)
+        for name in sorted(estimate.parameters)
+    }
+    rng = random.Random(f"{workload}/compiled-problem")
+    points = [
+        {name: math.sqrt(bound) for name, bound in bounds.items()},
+        {name: float(tuned[name]) for name in bounds},
+    ]
+    for index in range(32):
+        # Odd points crowd the box's upper corner, where the joint
+        # capacity constraints are violated.
+        low = 0.0 if index % 2 == 0 else 0.9
+        points.append(
+            {
+                name: bound ** rng.uniform(low, 1.0)
+                for name, bound in bounds.items()
+            }
+        )
+    return points
+
+
+class TestCompiledProblemMatchesReference:
+    @pytest.mark.parametrize("workload", REGISTRY.names())
+    def test_real_tuning_problems_score_exactly(self, workload):
+        estimate, stats, tuned = _winner_problem(workload)
+        cost, constraints = estimate.total, estimate.constraints
+        problem = compile_problem(cost, [(c.lhs, c.rhs) for c in constraints])
+        points = _probe_points(workload, estimate, stats, tuned)
+        envs = [{**stats, **point} for point in points]
+        assert _hex(problem.violation(env) for env in envs) == _hex(
+            _reference_violation(constraints, env) for env in envs
+        )
+        for penalty in PENALTIES:
+            want = _hex(
+                _reference_penalized(cost, constraints, env, penalty)
+                for env in envs
+            )
+            assert _hex(problem.penalized(env, penalty) for env in envs) == want
+            assert _hex(problem.score_points(stats, points, penalty)) == want
+
+    def test_domain_errors_score_as_inf_on_both_sides(self):
+        cost = Div(Var("x"), Var("k") + (-1))  # k = 1 divides by zero
+        constraints = [Constraint(Log2(Var("k") + (-1)), Const(5))]
+        problem = compile_problem(cost, [(c.lhs, c.rhs) for c in constraints])
+        env = {"x": 8.0, "k": 1.0}
+        assert problem.violation(env) == math.inf
+        assert _reference_violation(constraints, env) == math.inf
+        assert _hex([problem.penalized(env, 1e3)]) == _hex(
+            [_reference_penalized(cost, constraints, env, 1e3)]
+        )
+
+    def test_missing_binding_raises_the_interpreters_keyerror(self):
+        cost = Var("x") / Var("k") + Var("not_a_binding")
+        constraints = [Constraint(Var("k"), Var("also_missing"))]
+        problem = compile_problem(cost, [(c.lhs, c.rhs) for c in constraints])
+        env = {"x": 8.0, "k": 2.0}
+        for compiled, reference in (
+            (
+                lambda: problem.penalized(env, 1e3),
+                lambda: _reference_penalized(cost, constraints, env, 1e3),
+            ),
+            (
+                lambda: problem.violation(env),
+                lambda: _reference_violation(constraints, env),
+            ),
+            (
+                lambda: problem.score_points(env, [{"k": 4.0}], 1e3),
+                lambda: _reference_penalized(cost, constraints, env, 1e3),
+            ),
+        ):
+            with pytest.raises(KeyError) as raw:
+                compiled()
+            with pytest.raises(
+                KeyError, match="unbound symbolic variable"
+            ) as want:
+                reference()
+            # The optimizer re-dresses the bundle's raw KeyError into
+            # exactly the interpreter's.
+            assert (
+                ParameterOptimizer._unbound(raw.value).args == want.value.args
+            )

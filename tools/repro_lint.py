@@ -26,12 +26,12 @@ Hazard classes that generic linters don't cover here:
   loop or a latency hack the fault model cannot see.  (The async
   service waits via ``asyncio.sleep``, which is not flagged.)
 * **LNT005** — reading the process environment (``os.environ``,
-  ``os.getenv``) anywhere outside the four modules that each own one
+  ``os.getenv``) anywhere outside the three modules that each own one
   documented ``REPRO_*`` switch (``REPRO_FAULTS``, ``REPRO_PARALLEL``,
-  ``REPRO_VERIFY``, ``REPRO_COMPILED_COST``).  Execution lanes are
-  selected by backend name, not by a process-wide knob; a new
-  environment read is a new hidden mode and has to be argued for by
-  extending the allow-list.
+  ``REPRO_VERIFY``).  Execution lanes are selected by backend name and
+  costing has a single lane — neither hangs off a process-wide knob; a
+  new environment read is a new hidden mode and has to be argued for
+  by extending the allow-list.
 
 Usage: ``python tools/repro_lint.py [paths...]`` (default: ``src``).
 Exit 0 when clean, 1 with ``path:line: CODE message`` findings, 2 on
@@ -60,7 +60,6 @@ ENV_ALLOWED_FILES = {
     os.path.join("repro", "runtime", "faults.py"),
     os.path.join("repro", "parallel.py"),
     os.path.join("repro", "search", "synthesizer.py"),
-    os.path.join("repro", "symbolic", "compile.py"),
 }
 ENV_READERS = {"environ", "getenv"}
 
