@@ -23,7 +23,12 @@ routes them through a :class:`CostMemo`:
   context-bindings)`` visit results plus a replayable side-effect
   journal, so a rewrite-derived candidate only re-walks the spine from
   its rewritten position to the root (see
-  :class:`~repro.cost.estimator.CostEstimator`).
+  :class:`~repro.cost.estimator.CostEstimator`);
+* **bounds** hold the best-first lower bound
+  (:func:`~repro.cost.estimator.optimistic_cost`) per tuning problem —
+  the same identity ``tune`` keys on, minus the penalty rounds the bound
+  does not depend on — so a memo-warm search computes it once per
+  distinct problem, not once per visit.
 
 Hit/miss counters are exposed as :class:`CacheStats` and surfaced on
 ``SynthesisResult`` so benchmarks can report cache effectiveness.
@@ -40,12 +45,18 @@ only ever costs recomputation — the tables cache pure functions — so a
 capped memo can never change winners or re-estimation results (pinned
 by regression tests), only how much gets recomputed.
 
-**Persistence.**  The serving stack spills memo contents to disk so a
-restarted server keeps its amortization: :meth:`CostMemo.iter_estimates`
-/ :meth:`CostMemo.iter_tunings` expose the tables for encoding, and
-:meth:`CostMemo.seed_estimate` / :meth:`CostMemo.seed_tuning` re-insert
-decoded entries without touching the hit/miss counters (a warm start is
-not a cache hit).  See :mod:`repro.service.memo_disk`.
+**Persistence.**  The serving stack appends memo contents to an on-disk
+log so a restarted server keeps its amortization.  The estimate and
+tuning tables are insertion-ordered and only ever shed from the old
+end, so "what is new since the last spill" needs no per-insert
+bookkeeping: :meth:`CostMemo.last_keys` names the newest entry of each
+table, and :meth:`CostMemo.estimates_after` /
+:meth:`CostMemo.tunings_after` walk back from the newest entry to such
+a mark.  :meth:`CostMemo.seed_estimate` / :meth:`CostMemo.seed_tuning`
+re-insert decoded entries without touching the hit/miss counters (a
+warm start is not a cache hit).  Subtrees and bounds are not spilled —
+both are rebuilt as a side effect of using the entries that are.  See
+:mod:`repro.service.memo_disk`.
 
 A ``CostMemo`` must only be shared between runs that cost against the
 same :class:`~repro.cost.estimator.CostModel`; the synthesizer keeps one
@@ -56,11 +67,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..ocal.ast import Node
 from ..optimizer.penalty import OptimizationResult, ParameterOptimizer
-from .estimator import CostEstimate, EstimatorError
+from .estimator import CostEstimate, EstimatorError, optimistic_cost
 
 __all__ = ["CacheStats", "CostMemo"]
 
@@ -134,6 +145,23 @@ class CacheStats:
 _FAILED = object()
 
 
+def _inserted_after(table: dict, mark: object) -> list:
+    """Items of *table* inserted after key *mark*, oldest first.
+
+    Walks back from the newest entry, so the cost is the number of new
+    entries, not the table size.  ``mark`` must be a key object taken
+    from this table (compared by identity); when it is ``None`` or has
+    been shed since, every item is returned.
+    """
+    newer = []
+    for item in reversed(table.items()):
+        if item[0] is mark:
+            break
+        newer.append(item)
+    newer.reverse()
+    return newer
+
+
 def _trim_oldest_half(table: dict) -> None:
     """Drop the oldest half of *table* (dict order = insertion order).
 
@@ -146,7 +174,7 @@ def _trim_oldest_half(table: dict) -> None:
 
 
 class CostMemo:
-    """Memoization tables for estimates, parameter tunings and subtrees.
+    """Memoization tables for estimates, tunings, subtrees and bounds.
 
     ``maxsize`` caps each table individually; a table at the cap sheds
     its oldest half before the next insert (recomputation, never wrong
@@ -160,6 +188,8 @@ class CostMemo:
         #: (subtree, context) -> (Located, CostEvents, journal); read and
         #: written by CostEstimator._visit.
         self.subtrees: dict = {}
+        #: tuning problem (sans penalty rounds) -> optimistic lower bound.
+        self.bounds: dict[object, float] = {}
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -236,6 +266,23 @@ class CostMemo:
         return tuned
 
     # ------------------------------------------------------------------
+    def bound(self, estimate: CostEstimate, stats: dict[str, float]) -> float:
+        """The optimistic lower bound on *estimate*'s tuned cost,
+        memoized by the tuning problem it is a pure function of."""
+        key = (
+            estimate.total,
+            tuple(estimate.constraints),
+            estimate.parameters,
+            tuple(sorted(stats.items())),
+        )
+        cached = self.bounds.get(key)
+        if cached is None:
+            if len(self.bounds) >= self.maxsize:
+                _trim_oldest_half(self.bounds)
+            cached = self.bounds[key] = optimistic_cost(estimate, stats)
+        return cached
+
+    # ------------------------------------------------------------------
     def store_subtree(self, key, value) -> None:
         """Insert one incremental-estimation entry, respecting maxsize."""
         if len(self.subtrees) >= self.maxsize:
@@ -245,40 +292,62 @@ class CostMemo:
     # ------------------------------------------------------------------
     # Spill support (repro.service.memo_disk)
     # ------------------------------------------------------------------
-    def iter_estimates(self) -> "Iterator[tuple[Node, CostEstimate | None]]":
-        """Every cached estimate; ``None`` marks a memoized failure."""
-        for program, value in self._estimates.items():
-            yield program, (None if value is _FAILED else value)
+    def last_keys(self) -> tuple:
+        """The newest ``(estimate key, tuning key)`` — a mark for
+        :meth:`estimates_after` / :meth:`tunings_after`; ``None`` stands
+        for an empty table."""
+        return (
+            next(reversed(self._estimates), None),
+            next(reversed(self._tunings), None),
+        )
+
+    def estimates_after(
+        self, mark: object = None
+    ) -> "list[tuple[Node, CostEstimate | None]]":
+        """Estimates inserted after key *mark* (all when ``None`` or
+        shed), oldest first; ``None`` marks a memoized failure."""
+        return [
+            (program, None if value is _FAILED else value)
+            for program, value in _inserted_after(self._estimates, mark)
+        ]
+
+    def tunings_after(
+        self, mark: object = None
+    ) -> "list[tuple[object, OptimizationResult]]":
+        """Tunings inserted after key *mark*, as ``(problem key, result)``."""
+        return _inserted_after(self._tunings, mark)
 
     def seed_estimate(
         self, program: Node, estimate: "CostEstimate | None"
-    ) -> None:
+    ) -> bool:
         """Warm-start one estimate (``None`` = failure) without moving
-        the hit/miss counters; existing entries are left alone."""
+        the hit/miss counters; an existing entry wins.  Returns whether
+        the entry was inserted."""
         if program in self._estimates:
-            return
+            return False
         if len(self._estimates) >= self.maxsize:
             _trim_oldest_half(self._estimates)
         self._estimates[program] = _FAILED if estimate is None else estimate
+        return True
 
-    def iter_tunings(self) -> "Iterator[tuple[object, OptimizationResult]]":
-        """Every cached tuning as ``(problem key, result)``."""
-        yield from self._tunings.items()
-
-    def seed_tuning(self, key: object, result: OptimizationResult) -> None:
-        """Warm-start one tuning without moving the counters."""
+    def seed_tuning(self, key: object, result: OptimizationResult) -> bool:
+        """Warm-start one tuning without moving the counters; an
+        existing entry wins.  Returns whether it was inserted."""
         if key in self._tunings:
-            return
+            return False
         if len(self._tunings) >= self.maxsize:
             _trim_oldest_half(self._tunings)
         self._tunings[key] = result
+        return True
 
     # ------------------------------------------------------------------
     def sizes(self) -> tuple[int, int, int]:
-        """(estimates, tunings, subtrees) cached — introspection."""
+        """(estimates, tunings, subtrees) cached — introspection.
+        ``len(memo.bounds)`` is the fourth table's size."""
         return len(self._estimates), len(self._tunings), len(self.subtrees)
 
     def clear(self) -> None:
         self._estimates.clear()
         self._tunings.clear()
         self.subtrees.clear()
+        self.bounds.clear()

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..cost.cache import CacheStats, CostMemo
-from ..cost.estimator import CostEstimator, EstimatorError, optimistic_cost
+from ..cost.estimator import CostEstimator, EstimatorError
 from ..ocal.ast import Node, intern_node
 from ..ocal.serialize import node_from_json, node_to_json
 from ..parallel import WorkerPool, chunk_slices
@@ -108,7 +108,7 @@ def _worker_bound_batch(docs):
         except EstimatorError:
             bounds.append(float("inf"))
             continue
-        bounds.append(optimistic_cost(estimate, _STATS))
+        bounds.append(_MEMO.bound(estimate, _STATS))
     return bounds, _stats_delta(_MEMO.stats.since(before))
 
 

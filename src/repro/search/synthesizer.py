@@ -38,7 +38,6 @@ from ..cost.estimator import (
     CostEstimator,
     CostModel,
     EstimatorError,
-    optimistic_cost,
 )
 from ..hierarchy import MemoryHierarchy
 from ..ocal.ast import Node, intern_node
@@ -361,13 +360,15 @@ class Synthesizer:
         input_locations: dict[str, str],
         stats: dict[str, float],
         output_location: str | None = None,
+        adopt: CostMemo | None = None,
     ) -> CostMemo:
         """The (created-on-demand) cost memo for one set of model inputs.
 
-        Public so the serving stack can warm-start a memo from its
-        on-disk spill before a search and harvest it afterwards; the
-        hierarchy is fixed per synthesizer, so these four inputs
-        complete the model fingerprint.
+        The hierarchy is fixed per synthesizer, so these four inputs
+        complete the model fingerprint.  ``adopt`` installs a memo the
+        caller already holds for that fingerprint — the serving stack
+        keeps warm memos resident between requests and hands one in —
+        in place of whatever this synthesizer had.
         """
         key = (
             output_location,
@@ -375,6 +376,8 @@ class Synthesizer:
             tuple(sorted(stats.items())),
             tuple(sorted(input_annots.items(), key=lambda kv: kv[0])),
         )
+        if adopt is not None:
+            self._memos[key] = adopt
         memo = self._memos.get(key)
         if memo is None:
             memo = self._memos[key] = CostMemo()
@@ -429,7 +432,7 @@ class Synthesizer:
             )
         except EstimatorError:
             return float("inf")
-        return optimistic_cost(estimate, stats)
+        return memo.bound(estimate, stats)
 
 
 def _merge_cache(parent: CacheStats, workers: CacheStats) -> CacheStats:

@@ -1,10 +1,10 @@
-"""Persistent spill of the cost-memo tables (estimates + tunings).
+"""The persistent cost-memo spill: an append-only log per cost model.
 
 A restarted server that only kept its plan store would still pay full
 search for every *new* request; the expensive inner loop — symbolic
 estimation and parameter tuning — is memoized in
-:class:`~repro.cost.cache.CostMemo` tables that this module round-trips
-through JSON:
+:class:`~repro.cost.cache.CostMemo` tables that this module keeps on
+disk:
 
 * **estimates** — keyed by the hash-consed program; the value is the
   full :class:`~repro.cost.estimator.CostEstimate` (events, located
@@ -14,15 +14,32 @@ through JSON:
   constraints, parameter set, statistics, penalty rounds); the value is
   the :class:`~repro.optimizer.penalty.OptimizationResult`.
 
-Spill files live under the plan store's ``memo/`` directory, one per
-**model fingerprint** (hierarchy + annotations + locations + stats +
-output placement) — the same sharing rule :class:`CostMemo` itself
-enforces: a memo must only ever be shared between runs costing against
-the same model.  Dumps merge with whatever is already on disk and write
-atomically, so concurrent workers lose at most the race, never the
-file.  The subtree (incremental re-estimation) table is deliberately
-not spilled: it is an order of magnitude larger and is rebuilt as a
-side effect of the estimates it supports.
+Logs live under the plan store's ``memo/`` directory, one
+``<fingerprint>.jsonl`` per **model fingerprint** (hierarchy +
+annotations + locations + stats + output placement) — the same sharing
+rule :class:`CostMemo` itself enforces.  A log is one header line, then
+one compact-JSON line per entry (``{"e": program, "v": estimate}`` or
+``{"t": problem, "v": tuning}``), and is only ever appended to:
+
+* :func:`dump_memo` encodes the entries the memo gained since its last
+  spill (found by walking its insertion-ordered tables back to the last
+  spilled key) and appends them with one ``write`` on an ``O_APPEND``
+  descriptor — which the kernel places and performs atomically with
+  respect to other appenders.  Nothing new means the file is not even
+  opened.
+* :func:`load_memo` is a *catch-up*: this module keeps a cursor per
+  live memo (bytes of the log consumed, entries known log-backed, last
+  spilled keys), so only bytes other processes appended since are
+  parsed.  Values are deterministic, so a duplicate entry is harmless
+  and the first one wins; an undecodable or torn line is skipped,
+  never the file.
+* :class:`ResidentMemos` keeps the decoded memos of recent fingerprints
+  in the worker process, so back-to-back requests against one model pay
+  neither decode nor encode for entries they did not compute.
+
+The subtree (incremental re-estimation) and bounds tables are
+deliberately not spilled: the first is an order of magnitude larger,
+and both are rebuilt as a side effect of using the entries that are.
 
 Exprs are re-interned on load and programs re-hash-consed, so warm
 entries hit the same pointer-equality fast paths as freshly computed
@@ -33,6 +50,10 @@ from __future__ import annotations
 
 import json
 import os
+import threading
+import weakref
+from collections import OrderedDict
+from dataclasses import dataclass
 
 from ..cost.cache import CostMemo
 from ..cost.estimator import CostEstimate, Located
@@ -47,18 +68,22 @@ from ..ocal.serialize import (
 from ..optimizer.penalty import OptimizationResult
 from ..symbolic import intern_expr
 from .request import canonical_digest
-from .store import _atomic_write_json
 
 __all__ = [
     "MEMO_FORMAT",
+    "ResidentMemos",
     "memo_fingerprint",
     "spill_path",
     "dump_memo",
     "load_memo",
+    "recover_spills",
 ]
 
-#: spill-file format tag; a mismatch reads as an empty spill.
-MEMO_FORMAT = "repro-memo/1"
+#: log format tag; a log whose first line is not this header reads as
+#: empty and is left alone until the startup sweep removes it.
+MEMO_FORMAT = "repro-memo/2"
+
+_HEADER = json.dumps({"format": MEMO_FORMAT}).encode() + b"\n"
 
 
 def memo_fingerprint(experiment) -> str:
@@ -87,7 +112,7 @@ def memo_fingerprint(experiment) -> str:
 
 
 def spill_path(memo_dir: str, fingerprint: str) -> str:
-    return os.path.join(memo_dir, f"{fingerprint}.json")
+    return os.path.join(memo_dir, f"{fingerprint}.jsonl")
 
 
 # ----------------------------------------------------------------------
@@ -204,83 +229,247 @@ def _decode_tuning(doc: dict) -> OptimizationResult:
 
 
 # ----------------------------------------------------------------------
-# Spill round-trip
+# The log
 # ----------------------------------------------------------------------
-def _read_spill(path: str) -> dict | None:
+@dataclass
+class _Cursor:
+    """What one memo knows about one log."""
+
+    path: str
+    #: bytes of the log this memo has consumed (parsed or written).
+    offset: int = 0
+    #: entries the memo holds that are known to be in the log.
+    entries: int = 0
+    #: newest (estimate, tuning) keys known to be in the log; every
+    #: entry up to them is too (see :meth:`CostMemo.last_keys`).
+    marks: tuple = (None, None)
+
+
+#: one cursor per live memo; the memo itself carries no spill state.
+_CURSORS: "weakref.WeakKeyDictionary[CostMemo, _Cursor]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _held(memo: CostMemo) -> int:
+    """The entries *memo* holds in its two spilled tables."""
+    estimates, tunings, _ = memo.sizes()
+    return estimates + tunings
+
+
+def _cursor(memo: CostMemo, path: str) -> _Cursor:
+    cursor = _CURSORS.get(memo)
+    if cursor is None or cursor.path != path or not _held(memo):
+        # New to this log, or emptied since: it has consumed nothing.
+        cursor = _CURSORS[memo] = _Cursor(path)
+    return cursor
+
+
+def _at_marks(memo: CostMemo, cursor: _Cursor) -> bool:
+    """Whether *memo* holds nothing newer than *cursor*'s marks."""
+    estimate, tuning = memo.last_keys()
+    return estimate is cursor.marks[0] and tuning is cursor.marks[1]
+
+
+def _line(document: dict) -> bytes:
+    return json.dumps(document, separators=(",", ":")).encode() + b"\n"
+
+
+def _seed_line(memo: CostMemo, line: bytes) -> bool:
+    """Decode one log line into *memo*; whether it added an entry."""
     try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(doc, dict) or doc.get("format") != MEMO_FORMAT:
-        return None
-    return doc
-
-
-def dump_memo(memo: CostMemo, path: str) -> int:
-    """Merge *memo*'s estimate/tuning tables into the spill at *path*.
-
-    Existing on-disk entries are kept (first write wins — the values
-    are deterministic, so divergence is impossible, and keeping the
-    incumbent minimizes churn); returns the total entries on disk.
-    """
-    existing = _read_spill(path) or {
-        "format": MEMO_FORMAT,
-        "estimates": {},
-        "tunings": {},
-    }
-    estimates: dict = existing["estimates"]
-    tunings: dict = existing["tunings"]
-    for program, estimate in memo.iter_estimates():
-        doc = node_to_json(program)
-        key = canonical_digest(doc)
-        if key in estimates:
-            continue
-        estimates[key] = {
-            "program": doc,
-            "estimate": (
-                None if estimate is None else _encode_estimate(estimate)
-            ),
-        }
-    for key, result in memo.iter_tunings():
-        doc = _encode_tune_key(key)
-        digest = canonical_digest(doc)
-        if digest in tunings:
-            continue
-        tunings[digest] = {"key": doc, "value": _encode_tuning(result)}
-    _atomic_write_json(path, existing)
-    return len(estimates) + len(tunings)
+        doc = json.loads(line)
+        if "e" in doc:
+            return memo.seed_estimate(
+                intern_node(node_from_json(doc["e"])),
+                None if doc["v"] is None else _decode_estimate(doc["v"]),
+            )
+        return memo.seed_tuning(
+            _decode_tune_key(doc["t"]), _decode_tuning(doc["v"])
+        )
+    except Exception:  # lint: allow-broad-except
+        # A torn, foreign or hostile line costs its own entry only.
+        return False
 
 
 def load_memo(memo: CostMemo, path: str) -> int:
-    """Seed *memo* from the spill at *path*; returns entries loaded.
+    """Catch *memo* up with the log at *path*.
 
-    A missing, corrupt, or format-incompatible spill loads nothing
-    (the server warms back up the slow way); individually undecodable
-    entries are skipped rather than poisoning the rest.
+    Parses only the complete lines appended since this memo last read
+    or wrote the log (all of it for a memo new to the log) and returns
+    the log-backed entries the memo now holds — decoded just now or
+    already resident.  A missing, foreign or stale-format log loads
+    nothing; an undecodable line is skipped.
     """
-    doc = _read_spill(path)
-    if doc is None:
+    cursor = _cursor(memo, path)
+    try:
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            if size < cursor.offset:
+                # Replaced or cut back under us: start over.  The marks
+                # go too, so the next spill re-appends what it lost.
+                cursor = _CURSORS[memo] = _Cursor(path)
+            if size == cursor.offset:
+                return cursor.entries
+            handle.seek(cursor.offset)
+            data = handle.read()
+    except OSError:
+        _CURSORS.pop(memo, None)
         return 0
-    loaded = 0
-    for entry in doc.get("estimates", {}).values():
+    # A last line without its newline may still be in flight.
+    data = data[: data.rfind(b"\n") + 1]
+    if cursor.offset == 0 and not data.startswith(_HEADER):
+        return 0
+    clean = _at_marks(memo, cursor)
+    # The header (and a second one left by a creation race) decodes to
+    # no entry, like any other line that is not one.
+    seeded = sum(_seed_line(memo, line) for line in data.splitlines())
+    cursor.offset += len(data)
+    if clean:
+        # Everything the memo holds came from the log or went to it.
+        cursor.marks = memo.last_keys()
+        cursor.entries = _held(memo)
+    else:
+        cursor.entries += seeded
+    return cursor.entries
+
+
+def dump_memo(memo: CostMemo, path: str) -> int:
+    """Append the entries *memo* gained since its last spill to *path*.
+
+    Returns the entries of *memo* this process knows the log holds
+    afterwards.  With nothing new the file is not touched; neither is a
+    file that does not start with this format's header — cutting it
+    back here could discard what a concurrent appender just wrote, so
+    nothing spills to it until :func:`recover_spills` has removed it.
+    """
+    cursor = _cursor(memo, path)
+    lines = [
+        _line(
+            {
+                "e": node_to_json(program),
+                "v": None if estimate is None else _encode_estimate(estimate),
+            }
+        )
+        for program, estimate in memo.estimates_after(cursor.marks[0])
+    ]
+    lines += [
+        _line({"t": _encode_tune_key(key), "v": _encode_tuning(result)})
+        for key, result in memo.tunings_after(cursor.marks[1])
+    ]
+    if not lines:
+        return cursor.entries
+    data = b"".join(lines)
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        size = os.fstat(fd).st_size
+        if size == 0:
+            data = _HEADER + data
+        elif os.pread(fd, len(_HEADER), 0) != _HEADER:
+            # Stale format or foreign bytes: the startup sweep's to remove.
+            return cursor.entries
+        elif os.pread(fd, 1, size - 1) != b"\n":
+            # A writer died mid-line: seal its torn tail so that our
+            # first entry does not become part of an undecodable line.
+            data = b"\n" + data
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        end = os.lseek(fd, 0, os.SEEK_CUR)
+    finally:
+        os.close(fd)
+    if end - len(data) == cursor.offset:
+        # Nobody else appended in between; otherwise the next catch-up
+        # re-reads our own lines too, which seed nothing.
+        cursor.offset = end
+    # Whatever preceded the marks was in the log already, the rest went
+    # just now (all of it, when a mark had been shed from its table).
+    cursor.marks = memo.last_keys()
+    cursor.entries = _held(memo)
+    return cursor.entries
+
+
+def _has_header(path: str) -> bool:
+    try:
+        with open(path, "rb") as handle:
+            return handle.read(len(_HEADER)) == _HEADER
+    except OSError:
+        return False
+
+
+def recover_spills(memo_dir: str) -> int:
+    """Crash-only startup sweep of the spill directory.
+
+    A log whose last line has no newline (a writer died mid-append) is
+    cut back to its last complete line — earlier lines survive; a log
+    without this format's header, and every ``repro-memo/1`` ``*.json``
+    spill, is removed.  An intact log costs a look at its first and
+    last bytes, whatever its size.  Returns the files repaired or removed.
+    """
+    swept = 0
+    try:
+        names = sorted(os.listdir(memo_dir))
+    except OSError:
+        return swept
+    for name in names:
+        path = os.path.join(memo_dir, name)
         try:
-            program = intern_node(node_from_json(entry["program"]))
-            estimate = (
-                None
-                if entry["estimate"] is None
-                else _decode_estimate(entry["estimate"])
-            )
-        except Exception:  # lint: allow-broad-except
-            continue
-        memo.seed_estimate(program, estimate)
-        loaded += 1
-    for entry in doc.get("tunings", {}).values():
-        try:
-            key = _decode_tune_key(entry["key"])
-            result = _decode_tuning(entry["value"])
-        except Exception:  # lint: allow-broad-except
-            continue
-        memo.seed_tuning(key, result)
-        loaded += 1
-    return loaded
+            if name.endswith(".json") or (
+                name.endswith(".jsonl") and not _has_header(path)
+            ):
+                os.unlink(path)
+                swept += 1
+            elif name.endswith(".jsonl"):
+                with open(path, "rb+") as handle:
+                    handle.seek(-1, os.SEEK_END)
+                    if handle.read(1) != b"\n":
+                        handle.seek(0)
+                        handle.truncate(handle.read().rfind(b"\n") + 1)
+                        swept += 1
+        except OSError:  # pragma: no cover - racing cleanup
+            pass
+    return swept
+
+
+# ----------------------------------------------------------------------
+# Resident memos
+# ----------------------------------------------------------------------
+#: memos a worker process keeps resident.  A resident memo also keeps
+#: its (much larger, unspilled) subtree table alive, so this bounds the
+#: worker's RSS; the value is not measured beyond the benchmark's 12
+#: fingerprints, which never reach it.
+_RESIDENT_CAP = 16
+
+
+class ResidentMemos:
+    """A small LRU of decoded memos, keyed by log path.
+
+    A request *checks a memo out* for its duration and back in once its
+    spill succeeded, so no two searches ever share a ``CostMemo``: a
+    concurrent request for the same log (the retry of a timed-out
+    thread-executor job, say) finds nothing resident and builds its own
+    from the log.  A memo that is never checked back in — its request
+    failed — is simply dropped; the log is the truth.
+    """
+
+    def __init__(self) -> None:
+        self._memos: "OrderedDict[str, CostMemo]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def checkout(self, path: str) -> CostMemo:
+        """The resident memo for *path* (removed while in use), or a
+        fresh one."""
+        with self._lock:
+            memo = self._memos.pop(path, None)
+        return CostMemo() if memo is None else memo
+
+    def checkin(self, path: str, memo: CostMemo) -> None:
+        """Make *memo* the resident memo for *path* (most recent)."""
+        with self._lock:
+            self._memos[path] = memo
+            self._memos.move_to_end(path)
+            while len(self._memos) > _RESIDENT_CAP:
+                self._memos.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._memos)

@@ -25,11 +25,15 @@ The request lifecycle:
    with at most ``workers`` searches running concurrently.
 
 ``POST /jobs?wait=1`` long-polls until the job settles — one curl is a
-full miss-then-hit round trip.  ``POST /plans/check`` verifies a plan
-document (optionally against a different hierarchy preset) without
-executing anything — 200 when clean, 422 with diagnostics when a stale
-or unsound plan is rejected.  ``GET /stats`` exposes hit/miss/reject
-counters, latency totals and queue depths.
+full miss-then-hit round trip.  The job table keeps every queued or
+running job and the newest finished ones up to a fixed cap; an older
+finished job is evicted (its plan stays in the store) and
+``GET /jobs/<id>`` for it is a plain 404.  ``POST /plans/check``
+verifies a plan document (optionally against a different hierarchy
+preset) without executing anything — 200 when clean, 422 with
+diagnostics when a stale or unsound plan is rejected.  ``GET /stats``
+exposes hit/miss/reject counters, latency totals, queue depths and the
+job-table size.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ from .worker import synthesize_request
 __all__ = ["PlanService"]
 
 _MAX_BODY = 1 << 20  # 1 MiB — requests are a handful of short fields.
+
+#: finished jobs kept for ``GET /jobs/<id>``; older ones are evicted.
+_JOB_TABLE_CAP = 256
 
 _REASONS = {
     200: "OK",
@@ -154,6 +161,7 @@ class PlanService:
         doc = dict(self.counters)
         doc.update(
             store_plans=len(self.store),
+            jobs_tracked=len(self._jobs),
             queued=self._queued,
             running=self._running,
             workers=self.worker_count,
@@ -315,6 +323,22 @@ class PlanService:
                 self._inflight.pop(digest, None)
                 self._events[job_id].set()
 
+    def _evict_finished(self) -> None:
+        """Drop the oldest finished jobs beyond ``_JOB_TABLE_CAP``.
+
+        Queued and running jobs stay — so does, therefore, anything a
+        ``?wait=1`` caller is parked on — and admission bounds those.
+        """
+        excess = max(0, len(self._jobs) - _JOB_TABLE_CAP)
+        finished = (
+            job_id
+            for job_id, job in self._jobs.items()
+            if job["state"] in ("done", "failed")
+        )
+        for job_id in list(itertools.islice(finished, excess)):
+            del self._jobs[job_id]
+            del self._events[job_id]
+
     def _enqueue(self, request: ServiceRequest, digest: str) -> str:
         job_id = f"job-{next(self._ids)}"
         self._jobs[job_id] = {
@@ -324,6 +348,7 @@ class PlanService:
             "request": request.to_json(),
         }
         self._events[job_id] = asyncio.Event()
+        self._evict_finished()
         self._inflight[digest] = job_id
         self._queued += 1
         task = asyncio.get_running_loop().create_task(self._run_job(job_id))
@@ -377,9 +402,11 @@ class PlanService:
             self.counters["misses"] += 1
             job_id = self._enqueue(request, digest)
 
+        # Held across the wait: once the job settles, a later miss may
+        # evict it from the table before this caller resumes.
+        job = self._jobs[job_id]
         if wait:
             await self._events[job_id].wait()
-        job = self._jobs[job_id]
         status = 202 if job["state"] in ("queued", "running") else 200
         return status, self._job_doc(job)
 

@@ -8,9 +8,9 @@ crashed server never leaves a half-written record a restarted one
 would trust.  Records whose store or plan format tag is stale read as
 misses — the next search simply overwrites them.
 
-``<root>/memo/`` holds the cost-memo spill files (see
-:mod:`repro.service.memo_disk`); the store only hands out the
-directory.
+``<root>/memo/`` holds the cost-memo spill logs (see
+:mod:`repro.service.memo_disk`); the store hands out the directory and
+runs that module's sweep at startup.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import time
 
 from ..api.job import PLAN_FORMAT
 from ..version import __version__
+from .memo_disk import recover_spills
 
 __all__ = ["STORE_FORMAT", "PlanStore"]
 
@@ -63,12 +64,16 @@ class PlanStore:
         """Crash-only startup sweep; returns what was cleaned up.
 
         A server killed between :func:`_atomic_write_json`'s write and
-        rename leaves an orphaned ``*.tmp``; a torn or truncated record
-        (crash mid-``os.replace`` on exotic filesystems, manual
+        rename leaves an orphaned ``*.tmp``; a torn or truncated plan
+        record (crash mid-``os.replace`` on exotic filesystems, manual
         corruption) parses as garbage.  Both are deleted — ``get``
         already treats them as misses, so removal never loses a
-        servable plan — and counted for ``/stats``:
-        ``{"tmp_files": N, "torn_records": M}``.
+        servable plan.  Memo logs are append-only, so a torn one is cut
+        back to its last complete line instead
+        (:func:`~repro.service.memo_disk.recover_spills`, which also
+        removes spills this version cannot read).  Counted for
+        ``/stats``: ``{"tmp_files": N, "torn_records": M}``, a repaired
+        or removed spill being one torn record.
         """
         removed = {"tmp_files": 0, "torn_records": 0}
         for directory in (self.plans_dir, self.memo_dir):
@@ -78,22 +83,20 @@ class PlanStore:
                 continue
             for name in sorted(names):
                 path = os.path.join(directory, name)
-                if name.endswith(".tmp"):
-                    try:
+                try:
+                    if name.endswith(".tmp"):
                         os.unlink(path)
                         removed["tmp_files"] += 1
-                    except OSError:  # pragma: no cover - racing cleanup
-                        pass
-                elif name.endswith(".json"):
-                    try:
-                        with open(path) as handle:
-                            json.load(handle)
-                    except (OSError, ValueError):
+                    elif directory is self.plans_dir and name.endswith(".json"):
                         try:
+                            with open(path) as handle:
+                                json.load(handle)
+                        except ValueError:
                             os.unlink(path)
                             removed["torn_records"] += 1
-                        except OSError:  # pragma: no cover - racing
-                            pass
+                except OSError:  # pragma: no cover - racing cleanup
+                    pass
+        removed["torn_records"] += recover_spills(self.memo_dir)
         return removed
 
     # ------------------------------------------------------------------

@@ -291,6 +291,103 @@ class TestBoundedEviction:
             assert capped.opt_cost == free.opt_cost
             assert capped.best.tuned.values == free.best.tuned.values
 
+    def _estimates(self, memo, programs):
+        return [
+            memo.estimate(
+                program,
+                lambda p=program: CostEstimator(
+                    join_model(), memo=memo
+                ).estimate(p),
+            )
+            for program in programs
+        ]
+
+    def test_bounds_table_sheds_its_oldest_half_at_the_cap(self):
+        from repro.cost import optimistic_cost
+
+        memo = CostMemo(maxsize=4)
+        estimates = self._estimates(memo, self._programs()[:4])
+        # One estimate under five statistics = five distinct problems.
+        problems = [
+            (estimates[i % 4], {"x": 2.0**20, "y": 2.0 ** (10 + i)})
+            for i in range(5)
+        ]
+        for estimate, stats in problems[:4]:
+            assert memo.bound(estimate, stats) == optimistic_cost(
+                estimate, stats
+            )
+        keys = list(memo.bounds)
+        assert len(keys) == 4
+        memo.bound(*problems[4])
+        assert list(memo.bounds)[:2] == keys[2:]  # newest half survived
+        assert len(memo.bounds) == 3  # 4 - 2 shed + 1 inserted
+        # A shed bound recomputes to the same float.
+        estimate, stats = problems[0]
+        assert memo.bound(estimate, stats) == optimistic_cost(estimate, stats)
+
+    def test_bound_is_computed_once_per_problem(self, monkeypatch):
+        import repro.cost.cache as cache
+
+        calls = []
+        real = cache.optimistic_cost
+        monkeypatch.setattr(
+            cache,
+            "optimistic_cost",
+            lambda estimate, stats: calls.append(1) or real(estimate, stats),
+        )
+        memo = CostMemo()
+        (estimate,) = self._estimates(memo, self._programs()[:1])
+        first = memo.bound(estimate, JOIN_STATS)
+        assert memo.bound(estimate, dict(JOIN_STATS)) == first
+        assert len(calls) == 1
+        memo.clear()
+        assert memo.bounds == {}
+
+    def test_starved_tables_leave_table1_best_first_bit_identical(self):
+        """Every table at ``maxsize=4`` — the bounds table sheds on
+        nearly every insert — against the goldens and a free run."""
+        import json
+        import os
+
+        from repro.api import Session
+        from repro.ocal.printer import pretty
+
+        golden_path = os.path.join(
+            os.path.dirname(__file__), "..", "bench", "goldens",
+            "table1_winners.json",
+        )
+        with open(golden_path) as handle:
+            goldens = json.load(handle)
+
+        def sweep(maxsize):
+            session = Session(strategy="best-first")
+            rows = {}
+            for name in session.workloads(scale="table1"):
+                experiment = session.experiment(name, "table1")
+                if maxsize is not None:
+                    session.synthesizer(experiment).memo_for_inputs(
+                        experiment.input_annots,
+                        experiment.input_locations,
+                        experiment.stats,
+                        experiment.output_location,
+                        adopt=CostMemo(maxsize=maxsize),
+                    )
+                job = session.synthesize(name, scale="table1")
+                rows[job.workload] = (
+                    pretty(job.winner),
+                    list(job.derivation),
+                    float.hex(job.opt_cost),
+                    job.search.pruned,
+                    job.search.costed,
+                )
+            return rows
+
+        free, starved = sweep(None), sweep(4)
+        assert starved == free
+        for name, (program, derivation, *_) in starved.items():
+            assert program == goldens[name]["best-first"]["program"]
+            assert derivation == goldens[name]["best-first"]["derivation"]
+
     def test_capped_memo_never_changes_reestimation_results(self):
         from repro.ocal.builders import for_, sing, tup, v
 

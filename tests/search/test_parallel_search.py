@@ -92,6 +92,41 @@ class TestRegistrySweepParity:
             ), workload.name
 
 
+class TestWorkersLaneBounds:
+    def test_worker_bounds_stay_with_the_worker(self, monkeypatch):
+        monkeypatch.setenv(PARALLEL_ENV, "1")
+        # DESIGN.md §11.4: a bound is keyed by its tuning problem, which
+        # only the process that estimated the program holds.  A pool
+        # worker's bounds therefore live in its private memo; the parent
+        # table only ever holds problems the parent estimated itself —
+        # and pruning cannot tell the difference.
+        runs = {}
+        for workers in (1, 2):
+            session = Session(workers=workers, strategy="best-first")
+            experiment = default_registry().experiment(
+                "grace-join", "validation"
+            )
+            job = session.synthesize(experiment, scale="validation")
+            memo = session.synthesizer(experiment).memo_for_inputs(
+                experiment.input_annots,
+                experiment.input_locations,
+                experiment.stats,
+                experiment.output_location,
+            )
+            estimated = {
+                (e.total, tuple(e.constraints), e.parameters)
+                for _, e in memo.estimates_after()
+                if e is not None
+            }
+            assert {key[:3] for key in memo.bounds} <= estimated
+            runs[workers] = (job, len(memo.bounds))
+        (serial, serial_bounds), (pooled, pooled_bounds) = runs[1], runs[2]
+        assert 0 < pooled_bounds < serial_bounds
+        assert pooled.winner is serial.winner
+        assert pooled.search.pruned == serial.search.pruned
+        assert pooled.search.costed == serial.search.costed
+
+
 class TestEscapeHatch:
     def test_env_zero_disables_the_pool(self, monkeypatch):
         monkeypatch.setenv(PARALLEL_ENV, "0")

@@ -9,6 +9,9 @@ store with all-zero search counters, surviving a server restart.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -126,6 +129,7 @@ class TestRoutes:
         for key in (
             "requests", "hits", "misses", "rejected", "deduped",
             "store_plans", "queued", "running", "latency_seconds",
+            "jobs_tracked",
         ):
             assert key in doc
 
@@ -381,6 +385,84 @@ class TestDedupAndAdmission:
             service.stop()
 
 
+class TestJobTableBound:
+    """Finished jobs are evicted oldest-first beyond a fixed cap; jobs
+    in flight — hence any job somebody is parked on — never are."""
+
+    def test_table_plateaus_at_the_cap(self, service):
+        from repro.service.server import _JOB_TABLE_CAP
+
+        client = Client(service)
+        tracked = []
+        for index in range(3 * _JOB_TABLE_CAP):
+            status, doc = client.post(dict(AGG, max_programs=100 + index))
+            assert status == 200 and doc["state"] == "done"
+            assert doc["id"] == f"job-{index + 1}"  # ids keep counting
+            if (index + 1) % _JOB_TABLE_CAP == 0:
+                tracked.append(client.get("/stats")[1]["jobs_tracked"])
+        assert tracked == [_JOB_TABLE_CAP] * 3
+        # The oldest are gone for good, the newest still answer, and an
+        # evicted job's plan is still a store hit.
+        assert client.get("/jobs/job-1") == (404, {"error": "no such job"})
+        status, doc = client.get(f"/jobs/job-{3 * _JOB_TABLE_CAP}")
+        assert status == 200 and doc["state"] == "done"
+        status, doc = client.post(dict(AGG, max_programs=100))
+        assert status == 200 and doc["source"] == "store"
+        assert len(service._events) == len(service._jobs) == _JOB_TABLE_CAP
+
+    def test_unfinished_and_waited_on_jobs_are_never_evicted(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import server
+
+        monkeypatch.setattr(server, "_JOB_TABLE_CAP", 2)
+        release = threading.Event()
+
+        def synth(task):
+            if task[0].get("max_programs") == 7:
+                release.wait(timeout=60)
+            return fake_payload()
+
+        service = PlanService(
+            str(tmp_path / "store"), workers=1, queue_cap=8, synth=synth
+        ).start_background()
+        try:
+            client = Client(service)
+            # job-1 runs (held open) with one caller parked on it;
+            # job-2..5 queue behind it.
+            parked = []
+            waiter = threading.Thread(
+                target=lambda: parked.append(
+                    client.post(dict(AGG, max_programs=7))
+                )
+            )
+            waiter.start()
+            for _ in range(400):
+                if service.stats()["running"] == 1:
+                    break
+                threading.Event().wait(0.01)
+            for cap in (8, 9, 10, 11):
+                status, _ = client.post(dict(AGG, max_programs=cap), wait=False)
+                assert status == 202
+            _, stats = client.get("/stats")
+            assert stats["jobs_tracked"] == 5  # over the cap, none finished
+            release.set()
+            waiter.join(timeout=60)
+            assert not waiter.is_alive()
+            assert parked[0][0] == 200 and parked[0][1]["id"] == "job-1"
+            for _ in range(400):
+                if service.stats()["completed"] == 5:
+                    break
+                threading.Event().wait(0.01)
+            # The next miss evicts down to the cap, oldest first.
+            status, doc = client.post(dict(AGG, max_programs=12))
+            assert status == 200 and doc["id"] == "job-6"
+            assert sorted(service._jobs) == ["job-5", "job-6"]
+        finally:
+            release.set()
+            service.stop()
+
+
 class TestRealSynthesis:
     """The acceptance bar, with the real synthesizer behind the server."""
 
@@ -522,3 +604,143 @@ class TestVerification:
         )
         assert status == 400
         assert "cannot load plan" in doc["error"]
+
+
+# ----------------------------------------------------------------------
+# The three ways a miss can start: cold, resident-warm, log-warm
+# ----------------------------------------------------------------------
+def _validation_names():
+    from repro.api import default_registry
+
+    return tuple(default_registry().names("validation"))
+
+
+def _essence(doc):
+    """What a warm start must never change about a served miss."""
+    plan = doc["plan"]
+    return {
+        "winner": plan["winner"],
+        "program": plan["program"],
+        "derivation": plan["derivation"],
+        "opt_cost": float.hex(plan["opt_cost"]),
+        "spec_cost": float.hex(plan["spec_cost"]),
+        "parameter_values": {
+            name: float.hex(float(value))
+            for name, value in plan["parameter_values"].items()
+        },
+        "search": {
+            key: doc["search"][key]
+            for key in ("space", "steps", "expanded", "pruned", "costed")
+        },
+    }
+
+
+@pytest.fixture(scope="module")
+def three_starts(tmp_path_factory):
+    """Every validation workload served cold, then resident-warm (same
+    server process, a cap no request used), then log-warm by a fresh
+    process that has only the spill logs."""
+    import repro
+
+    root = str(tmp_path_factory.mktemp("three-starts") / "store")
+    names = _validation_names()
+    service = PlanService(root, workers=1, queue_cap=4).start_background()
+    try:
+        client = Client(service)
+        cold = {
+            name: client.post({"workload": name, "scale": "validation"})[1]
+            for name in names
+        }
+        resident = {
+            name: client.post(
+                {"workload": name, "scale": "validation",
+                 "max_programs": 20_000}
+            )[1]
+            for name in names
+        }
+    finally:
+        service.stop()
+    script = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from repro.service.worker import synthesize_request\n"
+        "docs = {}\n"
+        "for name in sys.argv[3:]:\n"
+        "    request = {'workload': name, 'scale': 'validation',\n"
+        "               'max_programs': 30000}\n"
+        "    docs[name] = synthesize_request((request, sys.argv[2]))\n"
+        "json.dump(docs, sys.stdout)\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    output = subprocess.run(
+        [sys.executable, "-c", script, src, os.path.join(root, "memo"),
+         *names],
+        capture_output=True, text=True, timeout=300, check=True,
+    ).stdout
+    return {"cold": cold, "resident": resident, "log": json.loads(output)}
+
+
+class TestWarmStartIdentity:
+    @pytest.mark.parametrize("name", _validation_names())
+    def test_three_starts_serve_the_same_plan(self, three_starts, name):
+        cold = three_starts["cold"][name]
+        resident = three_starts["resident"][name]
+        log = three_starts["log"][name]
+        assert cold["source"] == resident["source"] == "search"
+        assert _essence(resident) == _essence(cold)
+        assert _essence(log) == _essence(cold)
+        # Both warm starts began with everything the cold search left
+        # in the log, and computed nothing.
+        for warm in (resident, log):
+            assert warm["memo_loaded"] >= cold["memo_spilled"] > 0
+            assert warm["search"]["cache_misses"] == 0
+            assert warm["memo_spilled"] == warm["memo_loaded"]
+
+    def test_same_fingerprint_requests_never_share_a_memo(
+        self, tmp_path, monkeypatch
+    ):
+        """One request is held open — its memo checked out — while a
+        second for the same cost model arrives (what the retry of a
+        timed-out thread-executor job looks like to the worker)."""
+        from repro.service import worker
+
+        memo_dir = str(tmp_path)
+        first = worker.synthesize_request((AGG, memo_dir))
+        assert first["memo_loaded"] == 0 and first["memo_spilled"] > 0
+
+        real_load = worker.load_memo
+        held = threading.Event()
+        release = threading.Event()
+        seen = []
+
+        def load_and_hold(memo, path):
+            loaded = real_load(memo, path)
+            seen.append((memo, loaded))
+            if len(seen) == 1:
+                held.set()
+                assert release.wait(timeout=60)
+            return loaded
+
+        monkeypatch.setattr(worker, "load_memo", load_and_hold)
+        results = {}
+
+        def request(cap):
+            results[cap] = worker.synthesize_request(
+                (dict(AGG, max_programs=cap), memo_dir)
+            )
+
+        slow = threading.Thread(target=request, args=(41,))
+        slow.start()
+        assert held.wait(timeout=60)
+        request(42)  # start to finish while the first is held open
+        release.set()
+        slow.join(timeout=60)
+        assert not slow.is_alive()
+
+        (held_memo, held_loaded), (other_memo, other_loaded) = seen
+        assert held_memo is not other_memo
+        # The held request had the resident memo; the other built its
+        # own from the log and started just as warm.
+        assert held_loaded == other_loaded == first["memo_spilled"]
+        assert _essence(results[41]) == _essence(results[42])
+        assert _essence(results[41]) == _essence(first)

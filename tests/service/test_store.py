@@ -156,3 +156,88 @@ class TestCrashRecovery:
         put_one(store)
         assert store.recover() == {"tmp_files": 0, "torn_records": 0}
         assert store.get(DIGEST)["plan"] == PLAN
+
+
+class TestSpillLogRecovery:
+    """``recover()`` and the append-only memo log (DESIGN.md §14.3): a
+    torn tail is cut back to the last complete line, everything before
+    it survives, and spills this version cannot read are removed."""
+
+    def full_log(self, store):
+        from repro.api import Session
+        from repro.service.memo_disk import dump_memo, spill_path
+
+        session = Session()
+        experiment = session.experiment("bnl-join", "validation")
+        session.synthesize(experiment, scale="validation")
+        memo = session.synthesizer(experiment).memo_for_inputs(
+            experiment.input_annots,
+            experiment.input_locations,
+            experiment.stats,
+            experiment.output_location,
+        )
+        path = spill_path(store.memo_dir, "ab" * 32)
+        assert dump_memo(memo, path) == sum(memo.sizes()[:2])
+        return memo, path
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_torn_tail_is_truncated_and_the_log_lives_on(self, tmp_path, seed):
+        import random
+
+        from repro.cost import CostMemo
+        from repro.service.memo_disk import dump_memo, load_memo
+
+        store = PlanStore(str(tmp_path))
+        memo, path = self.full_log(store)
+        with open(path, "rb") as handle:
+            whole = handle.read()
+        lines = whole.splitlines(keepends=True)
+        # Chop strictly inside an entry line (never on a boundary).
+        rng = random.Random(seed)
+        victim = rng.randrange(1, len(lines))
+        cut = sum(map(len, lines[:victim])) + rng.randrange(
+            1, len(lines[victim])
+        )
+        with open(path, "wb") as handle:
+            handle.write(whole[:cut])
+
+        assert store.recover() == {"tmp_files": 0, "torn_records": 1}
+        with open(path, "rb") as handle:
+            assert handle.read() == b"".join(lines[:victim])
+        assert store.recover() == {"tmp_files": 0, "torn_records": 0}
+
+        survivor = CostMemo()
+        assert load_memo(survivor, path) == victim - 1
+        # The restarted worker recomputes what the crash lost (here:
+        # handed over in the original order) and appends only that.
+        for program, estimate in memo.estimates_after():
+            survivor.seed_estimate(program, estimate)
+        for key, result in memo.tunings_after():
+            survivor.seed_tuning(key, result)
+        assert dump_memo(survivor, path) == len(lines) - 1
+        with open(path, "rb") as handle:
+            assert len(handle.read().splitlines()) == len(lines)
+        rebuilt = CostMemo()
+        assert load_memo(rebuilt, path) == len(lines) - 1
+        assert rebuilt.sizes()[:2] == memo.sizes()[:2]
+
+    def test_unreadable_spills_are_removed_and_healthy_ones_kept(
+        self, tmp_path
+    ):
+        store = PlanStore(str(tmp_path))
+        _, path = self.full_log(store)
+        with open(path, "rb") as handle:
+            healthy = handle.read()
+        litter = {
+            "cd" * 32 + ".json": b'{"format": "repro-memo/1", "estimates": {}}',
+            "ef" * 32 + ".jsonl": b'{"format": "repro-memo/1"}\n{"e": 1}\n',
+            "01" * 32 + ".jsonl": b'{"form',
+            "orphan.tmp": b"{",
+        }
+        for name, content in litter.items():
+            with open(os.path.join(store.memo_dir, name), "wb") as handle:
+                handle.write(content)
+        assert store.recover() == {"tmp_files": 1, "torn_records": 3}
+        assert os.listdir(store.memo_dir) == [os.path.basename(path)]
+        with open(path, "rb") as handle:
+            assert handle.read() == healthy
