@@ -19,6 +19,23 @@ routes them through a :class:`CostMemo`:
   to ``k1, k2, …``, so e.g. variants that move an annotation without
   changing the transfer structure collide), and the pattern search is
   run once per problem, not once per candidate;
+* **folded tunings** sit behind a miss of that exact table: the problem
+  is folded (:func:`~repro.optimizer.penalty.fold_problem` — statistics
+  substituted, simplified, satisfied parameter-free constraints
+  dropped) and a second table is keyed on the folded ``(cost,
+  constraints, parameters, statistics, penalty rounds)``.  Roughly every
+  second problem of a search is numerically an earlier one (the
+  order-inputs rewrites: ``max(x, y)`` vs ``x``), so the pattern search
+  runs once per *folded* problem, on the folded — smaller — bundle.
+  What a candidate gets back is that search's values with the cost of
+  its **own unfolded** expression at those values: the values are a
+  pure function of the folded problem and the cost a pure function of
+  (own expression, values), so no result depends on visit order,
+  strategy or worker, and the reported cost is bit-identical to the one
+  the unfolded tune reports at the same point.  The per-expression
+  folds are memoized too (``(expression, statistics)`` → folded form),
+  so a term or constraint side is substituted and simplified once per
+  memo, not once per problem;
 * **subtrees** back incremental re-estimation: per ``(subtree,
   context-bindings)`` visit results plus a replayable side-effect
   journal, so a rewrite-derived candidate only re-walks the spine from
@@ -28,7 +45,13 @@ routes them through a :class:`CostMemo`:
   (:func:`~repro.cost.estimator.optimistic_cost`) per tuning problem —
   the same identity ``tune`` keys on, minus the penalty rounds the bound
   does not depend on — so a memo-warm search computes it once per
-  distinct problem, not once per visit.
+  distinct problem, not once per visit;
+* **term minima** back the bound itself: the bound is a sum of
+  independent per-term minima, and a rewrite-derived child shares most
+  additive terms (and the parameter box) with its siblings, so each
+  ``(interned term, its parameters, their box tuples, statistics)`` is
+  minimized once and a child recomputes only the terms its rewrite
+  changed.
 
 Hit/miss counters are exposed as :class:`CacheStats` and surfaced on
 ``SynthesisResult`` so benchmarks can report cache effectiveness.
@@ -55,8 +78,11 @@ table, and :meth:`CostMemo.estimates_after` /
 a mark.  :meth:`CostMemo.seed_estimate` / :meth:`CostMemo.seed_tuning`
 re-insert decoded entries without touching the hit/miss counters (a
 warm start is not a cache hit).  Subtrees and bounds are not spilled —
-both are rebuilt as a side effect of using the entries that are.  See
-:mod:`repro.service.memo_disk`.
+both are rebuilt as a side effect of using the entries that are — and
+neither are the folded tunings, the folds or the term minima: a spilled
+exact tuning already answers every problem the log has seen, and a
+problem it has not seen costs one fold and (at most) one search to
+rebuild them.  See :mod:`repro.service.memo_disk`.
 
 A ``CostMemo`` must only be shared between runs that cost against the
 same :class:`~repro.cost.estimator.CostModel`; the synthesizer keeps one
@@ -70,7 +96,11 @@ from itertools import islice
 from typing import Callable
 
 from ..ocal.ast import Node
-from ..optimizer.penalty import OptimizationResult, ParameterOptimizer
+from ..optimizer.penalty import (
+    OptimizationResult,
+    ParameterOptimizer,
+    fold_problem,
+)
 from .estimator import CostEstimate, EstimatorError, optimistic_cost
 
 __all__ = ["CacheStats", "CostMemo"]
@@ -190,6 +220,15 @@ class CostMemo:
         self.subtrees: dict = {}
         #: tuning problem (sans penalty rounds) -> optimistic lower bound.
         self.bounds: dict[object, float] = {}
+        #: folded tuning problem -> the one pattern search run for it.
+        self._folded_tunings: dict[object, OptimizationResult] = {}
+        #: (expression, statistics) -> its fold, filled by
+        #: ``fold_problem``; and (term, parameters, box, statistics) ->
+        #: minimum over the box, filled by ``optimistic_cost``.  Both
+        #: are shed here, once per call, so they can overshoot
+        #: ``maxsize`` by one problem's expressions.
+        self._folds: dict = {}
+        self._term_minima: dict = {}
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -239,13 +278,16 @@ class CostMemo:
 
         The estimator hands over interned expressions, so hashing the
         key reuses cached hashes and equality hits the pointer fast
-        path.
+        path.  A miss folds the problem and runs the pattern search
+        only when the *folded* problem is new as well (see the module
+        docstring); hit/miss counters describe the exact table alone.
         """
+        stats_key = tuple(sorted(stats.items()))
         key = (
             estimate.total,
             tuple(estimate.constraints),
             estimate.parameters,
-            tuple(sorted(stats.items())),
+            stats_key,
             penalty_rounds,
         )
         cached = self._tunings.get(key)
@@ -255,14 +297,32 @@ class CostMemo:
         self.stats.tune_misses += 1
         if len(self._tunings) >= self.maxsize:
             _trim_oldest_half(self._tunings)
-        tuned = ParameterOptimizer(
-            cost=estimate.total,
-            constraints=estimate.constraints,
-            parameters=estimate.parameters,
-            stats=dict(stats),
-            penalty_rounds=penalty_rounds,
-        ).run()
-        self._tunings[key] = tuned
+        if len(self._folds) >= self.maxsize:
+            _trim_oldest_half(self._folds)
+        cost, constraints = fold_problem(
+            estimate.total, estimate.constraints, stats, self._folds
+        )
+        folded_key = (
+            cost,
+            tuple(constraints),
+            estimate.parameters,
+            stats_key,
+            penalty_rounds,
+        )
+        shared = self._folded_tunings.get(folded_key)
+        if shared is None:
+            if len(self._folded_tunings) >= self.maxsize:
+                _trim_oldest_half(self._folded_tunings)
+            shared = self._folded_tunings[folded_key] = ParameterOptimizer(
+                cost=cost,
+                constraints=constraints,
+                parameters=estimate.parameters,
+                stats=dict(stats),
+                penalty_rounds=penalty_rounds,
+            ).run()
+        tuned = self._tunings[key] = shared.reported_for(
+            estimate.total, stats
+        )
         return tuned
 
     # ------------------------------------------------------------------
@@ -279,7 +339,11 @@ class CostMemo:
         if cached is None:
             if len(self.bounds) >= self.maxsize:
                 _trim_oldest_half(self.bounds)
-            cached = self.bounds[key] = optimistic_cost(estimate, stats)
+            if len(self._term_minima) >= self.maxsize:
+                _trim_oldest_half(self._term_minima)
+            cached = self.bounds[key] = optimistic_cost(
+                estimate, stats, self._term_minima
+            )
         return cached
 
     # ------------------------------------------------------------------
@@ -351,3 +415,6 @@ class CostMemo:
         self._tunings.clear()
         self.subtrees.clear()
         self.bounds.clear()
+        self._folded_tunings.clear()
+        self._folds.clear()
+        self._term_minima.clear()

@@ -257,7 +257,11 @@ def _term_minimum(
     return best
 
 
-def optimistic_cost(estimate: CostEstimate, stats: dict[str, float]) -> float:
+def optimistic_cost(
+    estimate: CostEstimate,
+    stats: dict[str, float],
+    minima: dict | None = None,
+) -> float:
     """An admissible lower bound on the *tuned* cost of an estimate.
 
     The untuned cost is a sum of transfer terms.  Each term is minimized
@@ -271,6 +275,12 @@ def optimistic_cost(estimate: CostEstimate, stats: dict[str, float]) -> float:
 
     Returns ``inf`` when some term never evaluates — such programs carry
     no usable bound.
+
+    ``minima`` (a :class:`~repro.cost.cache.CostMemo` hands its own in,
+    and sheds it between calls) memoizes the per-term minimum by everything it is a
+    function of — the interned term, its parameters, their box tuples
+    and the statistics — so sibling candidates, which share most terms
+    and the box, minimize each term once.
     """
     total = estimate.total
     if not estimate.parameters:
@@ -278,10 +288,23 @@ def optimistic_cost(estimate: CostEstimate, stats: dict[str, float]) -> float:
     box = _param_box(estimate.parameters, estimate.constraints, stats)
     terms = total.terms if isinstance(total, Add) else (total,)
     parameters = frozenset(estimate.parameters)
+    if minima is None:
+        minima = {}
+    stats_key = tuple(sorted(stats.items()))
     bound = 0.0
     for term in terms:
         term_params = tuple(sorted(term.free_vars() & parameters))
-        minimum = _term_minimum(term, term_params, stats, box)
+        key = (
+            term,
+            term_params,
+            tuple(box[name] for name in term_params),
+            stats_key,
+        )
+        minimum = minima.get(key)
+        if minimum is None:
+            minimum = minima[key] = _term_minimum(
+                term, term_params, stats, box
+            )
         if minimum == math.inf:
             return math.inf
         bound += minimum

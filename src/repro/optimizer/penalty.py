@@ -26,20 +26,36 @@ and scores each pattern-search neighborhood in batch through the
 compiled bundle.  Compiled evaluation is bit-identical to scoring each
 probe with :meth:`Expr.evaluate` (same operations, same order) — pinned
 by ``tests/cost/goldens/tuned_reference.json``.
+
+**Fold, then tune (DESIGN.md §11.3).**  The statistics are numbers by
+the time a problem is tuned, so :func:`fold_problem` substitutes them
+into the objective and every constraint and simplifies before the search
+runs: ``max(x, y)`` and ``x`` become the same constant, capacity
+constraints that mention no parameter drop out, and the compiled bundle
+shrinks.  Candidates that differ only by such rewrites then pose the
+*same* folded problem, which :class:`~repro.cost.cache.CostMemo` tunes
+once.  The search result is a pure function of the folded problem; the
+*reported* cost is the candidate's own unfolded expression evaluated at
+the shared values (:meth:`OptimizationResult.reported_for`), so it is
+bit-identical to what tuning the unfolded problem reports at that point
+no matter which candidate posed the folded problem first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from operator import itemgetter
 
 from ..cost.events import Constraint
-from ..symbolic import Expr, compile_expr, compile_problem
+from ..symbolic import Add, Const, Expr, compile_expr, compile_problem, simplify
 from ..symbolic.compile import DOMAIN_ERRORS, CompiledProblem
 
 __all__ = [
     "ParameterOptimizer",
     "OptimizationResult",
+    "fold_problem",
     "optimize_parameters",
     "single_param_upper_bound",
 ]
@@ -88,6 +104,19 @@ def single_param_upper_bound(
     return max(1.0, bound)
 
 
+def _safe_eval(expr: Expr, env: dict[str, float]) -> float:
+    """The reported cost at one point; domain errors become ``inf``.
+
+    Deliberately narrow: a ``KeyError`` (unbound variable) means the
+    optimization problem itself is malformed and must surface, not
+    silently score as infinitely bad.
+    """
+    try:
+        return expr.evaluate(env)
+    except _DOMAIN_ERRORS:
+        return math.inf
+
+
 @dataclass
 class OptimizationResult:
     """Tuned parameter values and the cost they achieve."""
@@ -102,6 +131,89 @@ class OptimizationResult:
         merged = dict(stats)
         merged.update({k: float(v) for k, v in self.values.items()})
         return merged
+
+    def reported_for(
+        self, cost: Expr, stats: dict[str, float]
+    ) -> "OptimizationResult":
+        """This (folded-problem) result as one candidate reports it.
+
+        Values, feasibility and the search's evaluation count are
+        shared; the cost is the candidate's own *unfolded* expression at
+        those values, so it does not depend on which of the candidates
+        posing the folded problem was tuned.
+        """
+        return OptimizationResult(
+            dict(self.values),
+            _safe_eval(cost, self.env(stats)),
+            self.feasible,
+            self.evaluations,
+        )
+
+
+def fold_problem(
+    cost: Expr,
+    constraints: list[Constraint],
+    stats: dict[str, float],
+    folds: dict | None = None,
+) -> tuple[Expr, list[Constraint]]:
+    """The same tuning problem with the statistics folded into numbers.
+
+    Every additive term of *cost* and every constraint side has the
+    (finite) statistics substituted as exact rationals and is
+    simplified; the folded terms are summed in the order of their
+    printed form, so problems whose unfolded terms merely print — hence
+    sort — differently (``max(x, y)*…`` vs ``x*…``) fold to one
+    expression.  A constraint whose two sides fold to constants and
+    that holds is dropped: it adds exactly ``0.0`` to every violation
+    sum.  Duplicates are kept — they weigh the penalty.  An expression
+    whose fold hits a domain error (a zero cardinality under a
+    division) stays as it is and fails at probe time like today, which
+    is why the folded problem is still tuned under *stats*.
+
+    ``folds`` memoizes ``(expression, statistics) → (printed form,
+    folded expression)`` across problems: a
+    :class:`~repro.cost.cache.CostMemo` hands in its own table (and
+    sheds it between calls), so a term or constraint side shared by
+    sibling candidates is folded once per memo.
+    """
+    if folds is None:
+        folds = {}
+    stats_key = tuple(sorted(stats.items()))
+    bindings = {
+        name: Const(Fraction(value))
+        for name, value in stats.items()
+        if math.isfinite(value)
+    }
+
+    def fold(expr: Expr) -> tuple[str, Expr]:
+        key = (expr, stats_key)
+        entry = folds.get(key)
+        if entry is None:
+            try:
+                folded = simplify(expr.substitute(bindings))
+            except _DOMAIN_ERRORS:
+                folded = expr
+            entry = folds[key] = (str(folded), folded)
+        return entry
+
+    terms = cost.terms if isinstance(cost, Add) else (cost,)
+    entries = sorted(map(fold, terms), key=itemgetter(0))
+    folded_cost = (
+        entries[0][1]
+        if len(entries) == 1
+        else Add(tuple(folded for _, folded in entries))
+    )
+    kept = []
+    for constraint in constraints:
+        lhs, rhs = fold(constraint.lhs)[1], fold(constraint.rhs)[1]
+        if (
+            isinstance(lhs, Const)
+            and isinstance(rhs, Const)
+            and lhs.value <= rhs.value
+        ):
+            continue
+        kept.append(Constraint(lhs, rhs, constraint.reason))
+    return folded_cost, kept
 
 
 @dataclass
@@ -124,7 +236,7 @@ class ParameterOptimizer:
         params = sorted(self.parameters)
         if not params:
             self._evaluations += 1
-            cost = self._safe_eval(self.cost, self._env({}))
+            cost = _safe_eval(self.cost, self._env({}))
             return OptimizationResult({}, cost, True, self._evaluations)
         self._compiled = compile_problem(
             self.cost, [(c.lhs, c.rhs) for c in self.constraints]
@@ -145,7 +257,7 @@ class ParameterOptimizer:
         values = self._round_feasible(point, bounds)
         env = self._env({k: float(v) for k, v in values.items()})
         self._evaluations += 1
-        cost = self._safe_eval(self.cost, env)
+        cost = _safe_eval(self.cost, env)
         feasible = self._violation(
             {k: float(v) for k, v in values.items()}
         ) <= 1e-6
@@ -335,18 +447,6 @@ class ParameterOptimizer:
         env.update(point)
         return env
 
-    def _safe_eval(self, expr: Expr, env: dict[str, float]) -> float:
-        """The reported cost at one point; domain errors become ``inf``.
-
-        Deliberately narrow: a ``KeyError`` (unbound variable) means the
-        optimization problem itself is malformed and must surface, not
-        silently score as infinitely bad.
-        """
-        try:
-            return expr.evaluate(env)
-        except _DOMAIN_ERRORS:
-            return math.inf
-
 
 def optimize_parameters(
     cost: Expr,
@@ -354,10 +454,13 @@ def optimize_parameters(
     parameters: frozenset[str] | set[str],
     stats: dict[str, float],
 ) -> OptimizationResult:
-    """One-call façade over :class:`ParameterOptimizer`."""
+    """One-call façade: fold, tune, report on the unfolded *cost*."""
+    folded_cost, folded_constraints = fold_problem(
+        cost, list(constraints), stats
+    )
     return ParameterOptimizer(
-        cost=cost,
-        constraints=list(constraints),
+        cost=folded_cost,
+        constraints=folded_constraints,
         parameters=frozenset(parameters),
         stats=dict(stats),
-    ).run()
+    ).run().reported_for(cost, stats)

@@ -333,7 +333,8 @@ class TestBoundedEviction:
         monkeypatch.setattr(
             cache,
             "optimistic_cost",
-            lambda estimate, stats: calls.append(1) or real(estimate, stats),
+            lambda estimate, stats, minima: calls.append(1)
+            or real(estimate, stats, minima),
         )
         memo = CostMemo()
         (estimate,) = self._estimates(memo, self._programs()[:1])
@@ -344,8 +345,9 @@ class TestBoundedEviction:
         assert memo.bounds == {}
 
     def test_starved_tables_leave_table1_best_first_bit_identical(self):
-        """Every table at ``maxsize=4`` — the bounds table sheds on
-        nearly every insert — against the goldens and a free run."""
+        """Every table at ``maxsize=4`` — the bounds, folded-tuning,
+        fold and term-minimum tables shed on nearly every insert —
+        against the goldens and a free run."""
         import json
         import os
 
@@ -359,18 +361,21 @@ class TestBoundedEviction:
         with open(golden_path) as handle:
             goldens = json.load(handle)
 
+        starved_memos = []
+
         def sweep(maxsize):
             session = Session(strategy="best-first")
             rows = {}
             for name in session.workloads(scale="table1"):
                 experiment = session.experiment(name, "table1")
                 if maxsize is not None:
+                    starved_memos.append(CostMemo(maxsize=maxsize))
                     session.synthesizer(experiment).memo_for_inputs(
                         experiment.input_annots,
                         experiment.input_locations,
                         experiment.stats,
                         experiment.output_location,
-                        adopt=CostMemo(maxsize=maxsize),
+                        adopt=starved_memos[-1],
                     )
                 job = session.synthesize(name, scale="table1")
                 rows[job.workload] = (
@@ -384,6 +389,13 @@ class TestBoundedEviction:
 
         free, starved = sweep(None), sweep(4)
         assert starved == free
+        # The folded-tuning, fold and term-minimum tables starved too;
+        # the last two are shed once per problem, so they may exceed
+        # the cap by one problem's terms and constraint sides.
+        for memo in starved_memos:
+            assert 0 < len(memo._folded_tunings) <= 4
+            assert 0 < len(memo._folds) < 4 + 40
+            assert 0 < len(memo._term_minima) < 4 + 40
         for name, (program, derivation, *_) in starved.items():
             assert program == goldens[name]["best-first"]["program"]
             assert derivation == goldens[name]["best-first"]["derivation"]

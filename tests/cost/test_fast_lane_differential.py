@@ -12,6 +12,13 @@ suite requires *exact float equality* (``float.hex``) against that
 golden, and checks incremental re-estimation against the memo-less
 ``CostEstimator``.
 
+Since ISSUE 16 the tuner searches the statistics-folded problem, which
+drops satisfied parameter-free constraints — two sides fewer per probe —
+so ``evaluations`` may fall below the interpreted lane's count.  Only
+the counts the golden's ``provenance`` names were re-cut; ``values``,
+``cost``, ``feasible`` and ``optimistic_cost`` are still compared
+against the interpreted lane's untouched strings.
+
 Regenerate (only ever from a tree whose costing is trusted)::
 
     PYTHONPATH=src python tests/cost/test_fast_lane_differential.py \
@@ -41,6 +48,8 @@ SYNTHESIS_WORKLOADS = ["bnl-join", "aggregation", "external-sort"]
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "goldens", "tuned_reference.json"
 )
+#: What the interpreted lane decided; ``evaluations`` is bookkeeping.
+INTERPRETED_FIELDS = ("values", "cost", "feasible", "optimistic_cost")
 
 
 def _model(experiment) -> CostModel:
@@ -115,7 +124,10 @@ def test_tuned_winner_exactly_equals_interpreted(workload, golden):
     want = dict(golden["winners"][workload])
     program = node_from_json(json.loads(want.pop("program")))
     assert want["evaluations"] > 1 and want["values"]
-    assert _tuned_snapshot(workload, program) == want
+    got = _tuned_snapshot(workload, program)
+    for field in INTERPRETED_FIELDS:
+        assert got[field] == want[field], field
+    assert got["evaluations"] == want["evaluations"]
 
 
 @pytest.mark.parametrize("workload", SYNTHESIS_WORKLOADS)

@@ -235,3 +235,114 @@ class TestSafeEvalNarrowing:
         ]
         with pytest.raises(KeyError, match="unbound symbolic variable"):
             optimize_parameters(cost, constraints, {"k1"}, {"x": 1e6})
+
+
+class TestFoldKeepsEdgeBehaviour:
+    """ISSUE 16 satellite: tuning the statistics-folded problem must not
+    move the two edges the unfolded tuner pinned."""
+
+    @staticmethod
+    def _reference(cost, constraints, parameters, stats):
+        """The pattern search on the *unfolded* problem."""
+        from repro.optimizer import ParameterOptimizer
+
+        return ParameterOptimizer(
+            cost=cost,
+            constraints=list(constraints),
+            parameters=frozenset(parameters),
+            stats=dict(stats),
+        ).run()
+
+    @staticmethod
+    def _memo_tune(cost, constraints, parameters, stats):
+        from repro.cost import CostEstimate, CostEvents, CostMemo
+
+        estimate = CostEstimate(
+            events=CostEvents(),
+            result=None,
+            total=cost,
+            constraints=list(constraints),
+            parameters=frozenset(parameters),
+        )
+        return CostMemo().tune(estimate, stats, penalty_rounds=4)
+
+    @pytest.mark.parametrize("where", ["cost", "constraint", "no-parameters"])
+    def test_unbound_variable_still_raises(self, where):
+        # Neither a statistic nor a parameter: substitution leaves it in
+        # the folded problem, and the tuner must still refuse it.
+        cost = var("x") / var("k1")
+        constraints = [
+            Constraint(Const(1), var("k1")),
+            Constraint(var("k1"), Const(1000)),
+        ]
+        parameters = {"k1"}
+        if where == "cost":
+            cost = cost + var("stray")
+        elif where == "constraint":
+            constraints.append(Constraint(var("k1") * var("stray"), var("x")))
+        else:
+            cost, constraints, parameters = var("x") * var("stray"), [], set()
+        for tune in (optimize_parameters, self._memo_tune):
+            with pytest.raises(
+                KeyError, match="unbound symbolic variable 'stray'"
+            ):
+                tune(cost, constraints, parameters, {"x": 1e6})
+
+    @pytest.mark.parametrize("where", ["cost", "constraint"])
+    def test_fold_time_domain_error_tunes_like_the_unfolded_problem(
+        self, where
+    ):
+        # A zero cardinality under a division: simplify() raises on the
+        # substituted expression, which therefore stays unfolded and
+        # fails per probe (cost → inf), exactly as before the fold.
+        stats = {"x": 0, "y": 1e6}
+        cost = var("y") / var("k1")
+        constraints = [
+            Constraint(Const(1), var("k1")),
+            Constraint(var("k1") * var("x") + var("k1"), Const(1000)),
+            Constraint(var("x"), Const(5)),
+        ]
+        if where == "cost":
+            cost = cost + var("y") / var("x")
+        else:
+            constraints.append(
+                Constraint(var("k1") * (var("y") / var("x")), Const(10**9))
+            )
+        want = self._reference(cost, constraints, {"k1"}, stats)
+        assert (want.cost == math.inf) == (where == "cost")
+        for tune in (optimize_parameters, self._memo_tune):
+            got = tune(cost, constraints, {"k1"}, stats)
+            assert got.values == want.values
+            assert got.cost == want.cost
+            assert got.feasible == want.feasible
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_statistic_is_left_symbolic(self, bad):
+        stats = {"x": bad, "y": 1e6}
+        cost = var("y") / var("k1") + var("x")
+        constraints = [
+            Constraint(Const(1), var("k1")),
+            Constraint(var("k1"), Const(1000)),
+        ]
+        want = self._reference(cost, constraints, {"k1"}, stats)
+        got = optimize_parameters(cost, constraints, {"k1"}, stats)
+        assert got.values == want.values
+        assert float.hex(got.cost) == float.hex(want.cost)
+
+    def test_satisfied_parameter_free_constraints_are_dropped(self):
+        from repro.optimizer.penalty import fold_problem
+
+        constraints = [
+            Constraint(var("x"), Const(10)),  # holds: dropped
+            Constraint(var("x"), Const(10)),  # …each copy of it
+            Constraint(var("x"), Const(2)),  # violated: stays, twice,
+            Constraint(var("x"), Const(2)),  # duplicates weigh the penalty
+            Constraint(var("k") * var("x"), Const(100)),
+        ]
+        cost, kept = fold_problem(var("x") / var("k"), constraints, {"x": 5})
+        assert cost == Const(5) / var("k")
+        assert [(c.lhs, c.rhs) for c in kept] == [
+            (Const(5), Const(2)),
+            (Const(5), Const(2)),
+            (Const(5) * var("k"), Const(100)),
+        ]
