@@ -17,11 +17,10 @@ HTTP 422, verify mode wraps errors in :class:`VerificationError`).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ..ocal.ast import Node, PositionPath, format_path
+from ..ocal.ast import Node, PositionPath, child_steps, format_path
 
 __all__ = [
     "Diagnostic",
@@ -143,12 +142,5 @@ def walk_paths(
     interchangeable.
     """
     yield path, node
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if isinstance(value, Node):
-            yield from walk_paths(value, path + ((field.name, None),))
-        elif isinstance(value, tuple) and value and all(
-            isinstance(item, Node) for item in value
-        ):
-            for index, item in enumerate(value):
-                yield from walk_paths(item, path + ((field.name, index),))
+    for step, child in child_steps(node):
+        yield from walk_paths(child, path + (step,))

@@ -36,8 +36,6 @@ unapplied-lambda bindings shadow to "no device".
 
 from __future__ import annotations
 
-import dataclasses
-
 from ..hierarchy import MemoryHierarchy
 from ..ocal.ast import (
     App,
@@ -52,6 +50,7 @@ from ..ocal.ast import (
     Tup,
     UnfoldR,
     Var,
+    child_steps,
     pattern_names,
 )
 from .diagnostics import Diagnostic
@@ -154,18 +153,9 @@ class _SeqChecker:
         self._descend(node, path, env)
 
     def _descend(self, node: Node, path: PositionPath, env: dict) -> None:
-        for field in dataclasses.fields(node):
-            value = getattr(node, field.name)
-            child_env = _env_for(node, field.name, env)
-            if isinstance(value, Node):
-                self.check(value, path + ((field.name, None),), child_env)
-            elif isinstance(value, tuple) and value and all(
-                isinstance(item, Node) for item in value
-            ):
-                for index, item in enumerate(value):
-                    self.check(
-                        item, path + ((field.name, index),), child_env
-                    )
+        for step, child in child_steps(node):
+            child_env = _env_for(node, step[0], env)
+            self.check(child, path + (step,), child_env)
 
     # ------------------------------------------------------------------
     def _check_seq(
@@ -314,15 +304,8 @@ class _SeqChecker:
                 and _device_of(source, node_env) == device
             ):
                 return False
-            for field in dataclasses.fields(node):
-                value = getattr(node, field.name)
-                child_env = _env_for(node, field.name, node_env)
-                if isinstance(value, Node):
-                    stack.append((value, child_env))
-                elif isinstance(value, tuple) and value and all(
-                    isinstance(item, Node) for item in value
-                ):
-                    stack.extend((item, child_env) for item in value)
+            for (name, _), child in child_steps(node):
+                stack.append((child, _env_for(node, name, node_env)))
         return True
 
 

@@ -79,7 +79,11 @@ class SearchStats:
     memo_subtrees: int = 0
 
     def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        # A flat stats record, serialized once per job.
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)  # lint: allow-fields
+        }
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from ..ocal.ast import (
     Proj,
     Sing,
     Tup,
+    child_steps,
     node_size,
 )
 from ..ocal.typecheck import OcalTypeError, check_program
@@ -140,21 +141,14 @@ def _reductions(node: Node):
     """Whole-program variants obtained by reducing one position."""
     for replacement in _local_reductions(node):
         yield replacement
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if isinstance(value, Node):
-            for reduced in _reductions(value):
-                yield dataclasses.replace(node, **{field.name: reduced})
-        elif isinstance(value, tuple) and value and all(
-            isinstance(item, Node) for item in value
-        ):
-            for index, item in enumerate(value):
-                for reduced in _reductions(item):
-                    items = tuple(
-                        reduced if i == index else original
-                        for i, original in enumerate(value)
-                    )
-                    yield dataclasses.replace(node, **{field.name: items})
+    for (name, index), child in child_steps(node):
+        for reduced in _reductions(child):
+            if index is None:
+                yield dataclasses.replace(node, **{name: reduced})
+            else:
+                items = getattr(node, name)
+                items = items[:index] + (reduced,) + items[index + 1 :]
+                yield dataclasses.replace(node, **{name: items})
 
 
 def _local_reductions(node: Node):

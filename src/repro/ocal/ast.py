@@ -33,13 +33,18 @@ performance refinements keep dedup cheap on large search spaces
 
 :func:`node_size` (cached node count) and :func:`node_key` (a cheap
 ``(hash, size, head)`` triple) give strategies an O(1) summary of a tree
-without retraversal.
+without retraversal.  :func:`free_vars` and :func:`block_param_order`
+are memoized on the instance the same way, and every generic walker
+iterates the per-class :data:`CHILD_FIELDS` table instead of asking
+``dataclasses.fields`` per node (DESIGN.md §6.1).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+import typing
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
@@ -76,6 +81,10 @@ __all__ = [
     "map_children",
     "children",
     "walk",
+    "child_steps",
+    "field_names",
+    "CHILD_FIELDS",
+    "PARAM_FIELDS",
     "node_count",
     "node_size",
     "node_key",
@@ -83,6 +92,7 @@ __all__ = [
     "intern_pool_size",
     "clear_intern_pool",
     "block_params",
+    "block_param_order",
     "PositionPath",
     "PositionStep",
     "format_path",
@@ -124,13 +134,19 @@ BUILTIN_NAMES = frozenset({"head", "tail", "length", "avg", "mrg", "zip"})
 class Node:
     """Base class for OCAL expressions.
 
-    The two base slots back the lazy per-instance caches (structural
-    hash, subtree size); subclasses add their field slots on top.  Both
-    are written via ``object.__setattr__`` because every node class is
-    frozen.
+    The four base slots back the lazy per-instance caches (structural
+    hash, subtree size, free variables, block-parameter order);
+    subclasses add their field slots on top.  All are written via
+    ``object.__setattr__`` because every node class is frozen, and none
+    is a dataclass field, so ``dataclasses.replace``, equality and
+    pickling never see them.
     """
 
-    __slots__ = ("_hash", "_size")
+    __slots__ = ("_hash", "_size", "_free", "_params")
+    _hash: int
+    _size: int
+    _free: frozenset[str]
+    _params: tuple[str, ...]
 
     def __str__(self) -> str:  # pragma: no cover - delegates to printer
         from .printer import pretty
@@ -422,6 +438,45 @@ for _cls in _NODE_CLASSES:
 del _cls
 
 
+@functools.cache
+def field_names(cls: type) -> tuple[str, ...]:
+    """Declared field names of a dataclass type, in declaration order.
+
+    Computed once per class: ``dataclasses.fields`` rebuilds its tuple on
+    every call, which AST walkers would otherwise pay per node visited.
+    """
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def _child_fields(cls: type) -> tuple[tuple[str, bool], ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (name, hints[name] != Node)
+        for name in field_names(cls)
+        if hints[name] in (Node, tuple[Node, ...])
+    )
+
+
+#: Per node class, the fields that hold sub-expressions, in declaration
+#: order: ``(name, is_tuple)`` — ``is_tuple`` for a ``tuple[Node, ...]``
+#: field, false for a single ``Node``.  Every AST walker iterates this
+#: table instead of re-deriving the fields per node.
+CHILD_FIELDS: dict[type, tuple[tuple[str, bool], ...]] = {
+    cls: _child_fields(cls) for cls in _NODE_CLASSES
+}
+
+#: Per node class, the fields that may hold a named block/bucket
+#: parameter, in the order :func:`block_param_order` visits them.
+PARAM_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(
+        name
+        for name in ("block_in", "block_out", "buckets")
+        if name in field_names(cls)
+    )
+    for cls in _NODE_CLASSES
+}
+
+
 def node_size(node: Node) -> int:
     """Number of AST nodes, memoized on the instance.
 
@@ -497,32 +552,39 @@ def pattern_names(pattern: Pattern) -> tuple[str, ...]:
 def children(node: Node) -> tuple[Node, ...]:
     """Direct sub-expressions of a node, in field order."""
     out: list[Node] = []
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if isinstance(value, Node):
-            out.append(value)
-        elif isinstance(value, tuple) and value and all(
-            isinstance(v, Node) for v in value
-        ):
+    for name, is_tuple in CHILD_FIELDS[type(node)]:
+        value = getattr(node, name)
+        if is_tuple:
             out.extend(value)
+        else:
+            out.append(value)
     return tuple(out)
+
+
+def child_steps(node: Node) -> Iterator[tuple[PositionStep, Node]]:
+    """Direct sub-expressions with their position steps, in field order."""
+    for name, is_tuple in CHILD_FIELDS[type(node)]:
+        value = getattr(node, name)
+        if is_tuple:
+            for index, item in enumerate(value):
+                yield (name, index), item
+        else:
+            yield (name, None), value
 
 
 def map_children(node: Node, fn: Callable[[Node], Node]) -> Node:
     """Rebuild *node* with ``fn`` applied to each direct child."""
     changes: dict[str, object] = {}
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if isinstance(value, Node):
-            new_value = fn(value)
-            if new_value is not value:
-                changes[field.name] = new_value
-        elif isinstance(value, tuple) and value and all(
-            isinstance(v, Node) for v in value
-        ):
+    for name, is_tuple in CHILD_FIELDS[type(node)]:
+        value = getattr(node, name)
+        if is_tuple:
             new_items = tuple(fn(v) for v in value)
             if any(a is not b for a, b in zip(new_items, value)):
-                changes[field.name] = new_items
+                changes[name] = new_items
+        else:
+            new_value = fn(value)
+            if new_value is not value:
+                changes[name] = new_value
     if not changes:
         return node
     return dataclasses.replace(node, **changes)
@@ -544,33 +606,38 @@ def node_count(node: Node) -> int:
 # Free variables and substitution
 # ----------------------------------------------------------------------
 def free_vars(node: Node) -> frozenset[str]:
-    """Free variables of an expression."""
+    """Free variables of an expression, memoized on the instance."""
+    try:
+        return node._free
+    except AttributeError:
+        pass
+    out: frozenset[str]
     if isinstance(node, Var):
-        return frozenset({node.name})
-    if isinstance(node, Lam):
-        bound = set(pattern_names(node.pattern))
-        return frozenset(free_vars(node.body) - bound)
-    if isinstance(node, For):
-        source_free = free_vars(node.source)
-        body_free = free_vars(node.body) - {node.var}
-        return frozenset(source_free | body_free)
-    out: set[str] = set()
-    for child in children(node):
-        out |= free_vars(child)
-    return frozenset(out)
-
-
-_FRESH_COUNTER = itertools.count()
+        out = frozenset({node.name})
+    elif isinstance(node, Lam):
+        out = free_vars(node.body) - set(pattern_names(node.pattern))
+    elif isinstance(node, For):
+        out = free_vars(node.source) | (free_vars(node.body) - {node.var})
+    else:
+        out = frozenset[str]().union(*map(free_vars, children(node)))
+    object.__setattr__(node, "_free", out)
+    return out
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
-    """A variable name derived from *base* not present in *avoid*."""
+    """A variable name derived from *base* not present in *avoid*.
+
+    A pure function of its arguments — *base* itself, else the smallest
+    ``base_N`` not in *avoid* — so a rewrite's output never depends on
+    what the process did before (the rewrite engine memoizes outcomes).
+    """
     if base not in avoid:
         return base
-    while True:
-        candidate = f"{base}_{next(_FRESH_COUNTER)}"
+    for suffix in itertools.count():
+        candidate = f"{base}_{suffix}"
         if candidate not in avoid:
             return candidate
+    raise AssertionError("unreachable")  # pragma: no cover
 
 
 def substitute(node: Node, name: str, replacement: Node) -> Node:
@@ -671,13 +738,28 @@ def node_at(root: Node, path: PositionPath) -> Node:
 # ----------------------------------------------------------------------
 def block_params(node: Node) -> frozenset[str]:
     """Names of all tunable block/bucket parameters occurring in a program."""
-    params: set[str] = set()
-    for sub in walk(node):
-        if isinstance(sub, (For, UnfoldR, FoldL)):
-            for value in (sub.block_in, sub.block_out):
-                if isinstance(value, str):
-                    params.add(value)
-        elif isinstance(sub, HashPartition):
-            if isinstance(sub.buckets, str):
-                params.add(sub.buckets)
-    return frozenset(params)
+    return frozenset(block_param_order(node))
+
+
+def block_param_order(node: Node) -> tuple[str, ...]:
+    """Named block/bucket parameters in first-occurrence pre-order.
+
+    A node's own parameters (``block_in``, ``block_out`` or ``buckets``)
+    come before its children's.  Memoized on the instance, so a rewrite
+    that shares all but one spine with its parent computes only the new
+    spine.
+    """
+    try:
+        return node._params
+    except AttributeError:
+        pass
+    order: dict[str, None] = {}
+    for name in PARAM_FIELDS[type(node)]:
+        value = getattr(node, name)
+        if isinstance(value, str):
+            order[value] = None
+    for child in children(node):
+        order.update(dict.fromkeys(block_param_order(child)))
+    out = tuple(order)
+    object.__setattr__(node, "_params", out)
+    return out

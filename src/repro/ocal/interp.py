@@ -20,6 +20,7 @@ import dataclasses
 from typing import Callable, Mapping
 
 from .ast import (
+    PARAM_FIELDS,
     App,
     Builtin,
     Concat,
@@ -42,6 +43,7 @@ from .ast import (
     Tup,
     UnfoldR,
     Var,
+    block_param_order,
     map_children,
     pattern_names,
 )
@@ -105,24 +107,27 @@ def canonicalize_blocks(expr: Node) -> Node:
     Two programs that differ only in the fresh names the rewrite engine
     happened to generate become structurally identical, which keeps the
     breadth-first search space an honest *set* of programs.
+
+    Incremental: the first-occurrence order is memoized per node
+    (:func:`~repro.ocal.ast.block_param_order`), a program already
+    named ``k1…kn`` is returned as is, and otherwise only the nodes
+    whose names change — and the spines above them — are rebuilt.
     """
     mapping: dict[str, str] = {}
-
-    def canonical(name: str) -> str:
-        if name not in mapping:
-            mapping[name] = f"k{len(mapping) + 1}"
-        return mapping[name]
+    for index, name in enumerate(block_param_order(expr), 1):
+        if name != f"k{index}":
+            mapping[name] = f"k{index}"
+    if not mapping:
+        return expr
 
     def visit(node: Node) -> Node:
-        changes: dict[str, object] = {}
-        if isinstance(node, (For, UnfoldR, FoldL)):
-            if isinstance(node.block_in, str):
-                changes["block_in"] = canonical(node.block_in)
-            if isinstance(node.block_out, str):
-                changes["block_out"] = canonical(node.block_out)
-        elif isinstance(node, HashPartition):
-            if isinstance(node.buckets, str):
-                changes["buckets"] = canonical(node.buckets)
+        if mapping.keys().isdisjoint(block_param_order(node)):
+            return node
+        changes = {
+            name: mapping[value]
+            for name in PARAM_FIELDS[type(node)]
+            if (value := getattr(node, name)) in mapping
+        }
         if changes:
             node = dataclasses.replace(node, **changes)
         return map_children(node, visit)

@@ -19,20 +19,19 @@ module.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 
 from . import ast as ast_module
-from .ast import Node
+from .ast import Node, field_names
 
 __all__ = ["node_to_json", "node_from_json", "encode_value", "decode_value"]
 
 
 def _tagged(tag: str, value) -> dict:
     out: dict = {tag: type(value).__name__}
-    for field in dataclasses.fields(value):
-        out[field.name] = encode_value(getattr(value, field.name))
+    for name in field_names(type(value)):
+        out[name] = encode_value(getattr(value, name))
     return out
 
 

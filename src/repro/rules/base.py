@@ -9,16 +9,24 @@ missed opportunities.
 ``RuleContext`` supplies what the checks need: the memory hierarchy, the
 declared input locations and the output node (for seq-ac's interference
 condition), plus engine-managed bookkeeping (fresh parameter names, the
-loop variables bound around the current position).
+loop variables bound around the current position, the rewrite memo).
+
+A rule's ``apply`` must be a function of ``(node, ctx)``: the engine
+memoizes firings per subtree and replays them (DESIGN.md §3).  Drawing
+``ctx.fresh_param`` is the one allowed side effect — such applications
+are re-run on replay, so the names come out in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ..hierarchy import MemoryHierarchy
 from ..ocal.ast import Node
+
+if TYPE_CHECKING:
+    from .engine import RewriteMemo
 
 __all__ = ["Rule", "RuleContext", "Rewrite"]
 
@@ -36,6 +44,10 @@ class RuleContext:
     for_bound_vars: frozenset[str] = frozenset()
     #: engine-managed counter state for fresh block-parameter names.
     _param_counter: list[int] = field(default_factory=lambda: [0])
+    #: engine-managed table of rule firings per (subtree, scope); the
+    #: synthesizer shares one per rule-context fingerprint across
+    #: requests, ``None`` gives each ``iter_rewrites`` call its own.
+    _rewrite_memo: RewriteMemo | None = None
 
     def fresh_param(self, prefix: str = "k") -> str:
         """A parameter name unused so far in this rewrite session."""

@@ -13,20 +13,79 @@ breadth-first search of Section 6 expands a program by exactly this set.
 Positions are tracked as tuples of ``(field_name, index)`` steps from
 the program root (``index`` is ``None`` for scalar fields) and recorded
 on each emitted :class:`Rewrite` for diagnostics and ordering.
+
+**Each subtree is expanded once** (DESIGN.md §3).  A search expands
+hundreds of programs that differ from their parent in one subtree, so
+the engine memoizes, per ``(interned subtree, for-bound scope)``, the
+pre-order list of rule firings inside that subtree — each a position
+relative to the subtree, the rule, and the replacements it yielded
+there.  A later visit of the same subtree in the same scope replays the
+list instead of re-running every rule at every position, and the whole
+program is rebuilt (by splicing the replacement in along its path) only
+where a rule fired.  The list is recorded when the walk of its subtree
+*finishes*, so a consumer that stops early leaves no partial entry.
+
+The memo relies on one contract: ``Rule.apply`` is a function of
+``(node, ctx)`` — of the node, its scope and the rule context's fixed
+fields.  The one sanctioned exception is ``ctx.fresh_param``: an
+application that drew a fresh name (the engine sees the counter move)
+is recorded as "fires here" and *re-applied* on replay, so fresh names
+are drawn in exactly the order a memo-less walk draws them and every
+pre-canonical rewrite is bit-identical.
+
+The table is a :class:`RewriteMemo` owned by whoever owns the rule
+context: the :class:`~repro.search.synthesizer.Synthesizer` keeps one
+per rule-context fingerprint and hands it over as
+``RuleContext._rewrite_memo``; a bare context gets a table for the one
+call.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterator
 
-from ..ocal.ast import For, Node
+from ..cost.cache import _trim_oldest_half
+from ..ocal.ast import For, Node, PositionPath, child_steps, field_names
 from .base import Rewrite, Rule, RuleContext
 
-__all__ = ["all_rewrites", "iter_rewrites"]
+__all__ = ["RewriteMemo", "all_rewrites", "iter_rewrites"]
 
-#: One step of a position path: (dataclass field name, tuple index or None).
-PositionStep = tuple[str, int | None]
+
+class RewriteMemo:
+    """Rule firings per ``(subtree, for-bound scope)`` for one rule context.
+
+    ``entries`` maps a key to the pre-order tuple of ``(relative
+    position, rule, outcome)`` for every position inside the subtree
+    where a rule fired; ``outcome`` is the tuple of replacements, or a
+    :class:`_Refire` for an application that drew fresh names.
+    ``maxsize`` caps the table; at the cap it sheds its oldest half
+    before the next insert (recomputation only, never a different
+    stream).
+    """
+
+    __slots__ = ("entries", "maxsize")
+
+    def __init__(self, maxsize: int = 1 << 16) -> None:
+        self.entries: dict[tuple[Node, frozenset[str]], tuple] = {}
+        self.maxsize = maxsize
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def record(self, key: tuple[Node, frozenset[str]], firings: tuple) -> None:
+        if len(self.entries) >= self.maxsize:
+            _trim_oldest_half(self.entries)
+        self.entries[key] = firings
+
+
+class _Refire:
+    """A recorded application that drew fresh names: re-apply on replay."""
+
+    __slots__ = ("node", "scope")
+
+    def __init__(self, node: Node, scope: frozenset[str]) -> None:
+        self.node = node
+        self.scope = scope
 
 
 def iter_rewrites(
@@ -39,10 +98,13 @@ def iter_rewrites(
     are generated, keeping the output order identical to the historical
     materialize-then-dedup behavior.
     """
+    memo = ctx._rewrite_memo
+    if memo is None:
+        memo = RewriteMemo()
     emitted: set[tuple[str, Node]] = set()
-    for rule_name, position, rewritten in _iter_positions(
-        program, rules, ctx, frozenset(), lambda new: new, ()
-    ):
+    firings = _firings(program, frozenset(), (), tuple(rules), ctx, memo)
+    for rule_name, position, replacement in firings:
+        rewritten = _splice(program, position, replacement)
         key = (rule_name, rewritten)
         if key in emitted:
             continue
@@ -57,72 +119,95 @@ def all_rewrites(
     return list(iter_rewrites(program, rules, ctx))
 
 
-def _iter_positions(
+def _firings(
     node: Node,
-    rules: list[Rule],
+    scope: frozenset[str],
+    position: PositionPath,
+    rules: tuple[Rule, ...],
     ctx: RuleContext,
-    for_bound: frozenset[str],
-    rebuild,
-    position: tuple[PositionStep, ...],
-) -> Iterator[tuple[str, tuple[PositionStep, ...], Node]]:
-    """Pre-order generator of (rule name, position, rewritten program)."""
-    position_ctx = ctx.at_position(for_bound)
-    for rule in rules:
-        for replacement in rule.apply(node, position_ctx):
-            yield rule.name, position, rebuild(replacement)
+    memo: RewriteMemo,
+):
+    """Pre-order generator of (rule name, position, replacement).
 
-    inner_bound = for_bound
-    if isinstance(node, For):
-        inner_bound = for_bound | {node.var}
-
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if isinstance(value, Node):
-            child_bound = _bound_for_child(node, field.name, inner_bound, for_bound)
-            yield from _iter_positions(
-                value,
-                rules,
-                ctx,
-                child_bound,
-                _make_rebuild(node, field.name, None, rebuild),
-                position + ((field.name, None),),
-            )
-        elif isinstance(value, tuple) and value and all(
-            isinstance(v, Node) for v in value
-        ):
-            for index, item in enumerate(value):
-                yield from _iter_positions(
-                    item,
-                    rules,
-                    ctx,
-                    for_bound,
-                    _make_rebuild(node, field.name, index, rebuild),
-                    position + ((field.name, index),),
+    Returns (as the generator's value) the firings recorded for *node*
+    in *scope*, relative to *node*.
+    """
+    key = (node, scope)
+    recorded = memo.entries.get(key)
+    if recorded is not None:
+        for relative, rule, outcome in recorded:
+            if type(outcome) is _Refire:
+                outcome = rule.apply(
+                    outcome.node, ctx.at_position(outcome.scope)
                 )
+            for replacement in outcome:
+                yield rule.name, position + relative, replacement
+        return recorded
+
+    firings: list = []
+    position_ctx = ctx.at_position(scope)
+    counter = ctx._param_counter
+    for rule in rules:
+        drawn = counter[0]
+        replacements = []
+        for replacement in rule.apply(node, position_ctx):
+            replacements.append(replacement)
+            yield rule.name, position, replacement
+        if counter[0] != drawn:
+            firings.append(((), rule, _Refire(node, scope)))
+        elif replacements:
+            firings.append(((), rule, tuple(replacements)))
+
+    for step, child in child_steps(node):
+        inner = yield from _firings(
+            child,
+            _child_scope(node, step[0], scope),
+            position + (step,),
+            rules,
+            ctx,
+            memo,
+        )
+        firings.extend(
+            ((step,) + relative, rule, outcome)
+            for relative, rule, outcome in inner
+        )
+    recorded = tuple(firings)
+    memo.record(key, recorded)
+    return recorded
 
 
-def _bound_for_child(
-    node: Node, field_name: str, inner: frozenset[str], outer: frozenset[str]
+def _child_scope(
+    node: Node, field_name: str, scope: frozenset[str]
 ) -> frozenset[str]:
+    """The for-bound variables a child field of *node* sees."""
     # Only the body of a `for` sees the loop variable; its source does not.
-    if isinstance(node, For):
-        return inner if field_name == "body" else outer
-    return outer
+    if isinstance(node, For) and field_name == "body":
+        return scope | {node.var}
+    return scope
 
 
-def _make_rebuild(node: Node, field_name: str, index: int | None, outer):
-    """Closure that splices a replacement child back into the program."""
+def _splice(root: Node, path: PositionPath, replacement: Node) -> Node:
+    """*root* with the subexpression at *path* replaced.
 
-    def rebuild(new_child: Node) -> Node:
-        if index is None:
-            replaced = dataclasses.replace(node, **{field_name: new_child})
-        else:
-            old = getattr(node, field_name)
-            items = tuple(
-                new_child if i == index else item
-                for i, item in enumerate(old)
-            )
-            replaced = dataclasses.replace(node, **{field_name: items})
-        return outer(replaced)
-
-    return rebuild
+    Rebuilds only the spine from the root down to *path*; every other
+    subtree is shared with *root*.
+    """
+    spine = []
+    node = root
+    for name, index in path:
+        spine.append(node)
+        node = getattr(node, name)
+        if index is not None:
+            node = node[index]
+    for parent, (name, index) in zip(reversed(spine), reversed(path)):
+        value: object = replacement
+        if index is not None:
+            items = getattr(parent, name)
+            value = items[:index] + (replacement,) + items[index + 1 :]
+        replacement = type(parent)(
+            *[
+                value if field == name else getattr(parent, field)
+                for field in field_names(type(parent))
+            ]
+        )
+    return replacement

@@ -22,6 +22,7 @@ from typing import Iterator
 
 from ..ocal.ast import (
     App,
+    Builtin,
     Empty,
     FlatMap,
     For,
@@ -111,7 +112,7 @@ class HashPart(Rule):
         )
         buckets = ctx.fresh_param("s")
         partitioned = App(
-            Builtin_zip(),
+            Builtin("zip"),
             Tup(
                 (
                     App(HashPartition(buckets, r_key), Var(r_name)),
@@ -120,9 +121,3 @@ class HashPart(Rule):
             ),
         )
         yield App(FlatMap(Lam(pair_var, bucket_join)), partitioned)
-
-
-def Builtin_zip() -> Node:
-    from ..ocal.ast import Builtin
-
-    return Builtin("zip")

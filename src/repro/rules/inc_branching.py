@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterator
 
-from ..ocal.ast import Builtin, FuncPow, Node, TreeFold, UnfoldR
+from ..ocal.ast import Builtin, FuncPow, Lam, Node, TreeFold, UnfoldR
 from .base import Rule, RuleContext
 from .fld_to_trfld import is_associative_with_identity
 
@@ -62,8 +62,6 @@ class IncBranching(Rule):
             return fn.power
         if isinstance(fn, Builtin) and fn.name == "mrg":
             return 1
-        from ..ocal.ast import Lam
-
         if isinstance(fn, Lam):
             return 1
         return None

@@ -26,6 +26,7 @@ from typing import Iterator
 from ..ocal.ast import (
     App,
     Builtin,
+    For,
     If,
     Lam,
     Node,
@@ -79,19 +80,15 @@ class OrderInputs(Rule):
         The accepted shape: a ``for`` nest where one input drives the
         outer loop and the other the inner loop.
         """
-        from ..ocal.ast import For as ForNode
-
         current = node
-        if not isinstance(current, ForNode):
+        if not isinstance(current, For):
             return False
         outer = current.source
         inner_loop = current.body
         # Allow an If-guard around the inner loop.
-        from ..ocal.ast import If as IfNode
-
-        if isinstance(inner_loop, IfNode):
+        if isinstance(inner_loop, If):
             inner_loop = inner_loop.then
-        if not isinstance(inner_loop, ForNode):
+        if not isinstance(inner_loop, For):
             return False
         inner = inner_loop.source
         names = set()

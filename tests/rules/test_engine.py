@@ -1,14 +1,14 @@
-"""Engine-level tests: lazy generation, dedup, rebuild, scoping.
+"""Engine-level tests: lazy generation, dedup, splicing, scoping.
 
 These pin down the traversal machinery itself (``iter_rewrites``,
-``_make_rebuild``, ``_bound_for_child``) independently of any real
+``_splice``, ``_child_scope``) independently of any real
 transformation rule.
 """
 
 from repro.ocal import For, Lit, Sing, Tup, Var
 from repro.ocal.builders import for_, sing, tup, v
 from repro.rules import Rule, RuleContext, all_rewrites, iter_rewrites
-from repro.rules.engine import _bound_for_child, _make_rebuild
+from repro.rules.engine import _child_scope, _splice
 
 
 class UnwrapSing(Rule):
@@ -119,17 +119,15 @@ class TestPositions:
         ]
 
 
-class TestMakeRebuild:
+class TestSplice:
     def test_scalar_field_splice(self):
         node = for_("x", v("R"), sing(v("x")))
-        rebuild = _make_rebuild(node, "source", None, lambda n: n)
-        rebuilt = rebuild(v("S"))
+        rebuilt = _splice(node, (("source", None),), v("S"))
         assert rebuilt == for_("x", v("S"), sing(v("x")))
 
     def test_tuple_field_splice_preserves_sibling_order(self):
         node = tup(v("a"), v("b"), v("c"))
-        rebuild = _make_rebuild(node, "items", 1, lambda n: n)
-        rebuilt = rebuild(v("B"))
+        rebuilt = _splice(node, (("items", 1),), v("B"))
         assert rebuilt == Tup((Var("a"), Var("B"), Var("c")))
 
     def test_tuple_field_splice_at_each_index(self):
@@ -138,30 +136,31 @@ class TestMakeRebuild:
             (0, Tup((Var("X"), Var("b"), Var("c")))),
             (2, Tup((Var("a"), Var("b"), Var("X")))),
         ]:
-            rebuild = _make_rebuild(node, "items", index, lambda n: n)
-            assert rebuild(v("X")) == expected
+            assert _splice(node, (("items", index),), v("X")) == expected
 
-    def test_outer_closure_composes(self):
-        inner = sing(v("x"))
-        outer_node = for_("x", v("R"), inner)
-        outer = _make_rebuild(outer_node, "body", None, lambda n: n)
-        rebuild = _make_rebuild(inner, "item", None, outer)
-        assert rebuild(v("y")) == for_("x", v("R"), sing(v("y")))
+    def test_nested_path_composes(self):
+        outer_node = for_("x", v("R"), sing(v("x")))
+        path = (("body", None), ("item", None))
+        assert _splice(outer_node, path, v("y")) == for_(
+            "x", v("R"), sing(v("y"))
+        )
+
+    def test_root_path_returns_the_replacement(self):
+        assert _splice(sing(v("x")), (), v("y")) == v("y")
 
 
-class TestBoundForChild:
+class TestChildScope:
     def test_for_source_does_not_see_loop_variable(self):
         node = for_("x", v("R"), sing(v("x")))
         inner = frozenset({"x"})
         outer = frozenset()
-        assert _bound_for_child(node, "source", inner, outer) == outer
-        assert _bound_for_child(node, "body", inner, outer) == inner
+        assert _child_scope(node, "source", outer) == outer
+        assert _child_scope(node, "body", outer) == inner
 
     def test_non_for_nodes_use_outer_scope(self):
         node = tup(v("a"), v("b"))
-        inner = frozenset({"x"})
         outer = frozenset({"y"})
-        assert _bound_for_child(node, "items", inner, outer) == outer
+        assert _child_scope(node, "items", outer) == outer
 
     def test_engine_scoping_end_to_end(self):
         recorder = RecordScopes()

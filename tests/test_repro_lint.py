@@ -128,6 +128,31 @@ def test_environment_reads_allowed_in_switch_owners():
         assert _codes(source, path=former_owner) == ["LNT005"]
 
 
+def test_dataclass_fields_flagged_outside_ast_module():
+    assert _codes("import dataclasses\nnames = dataclasses.fields(x)\n") == [
+        "LNT006"
+    ]
+    assert _codes("from dataclasses import fields\nnames = fields(x)\n") == [
+        "LNT006"
+    ]
+    # A local helper that happens to be called ``fields`` is not flagged.
+    assert _codes("def fields(x):\n    pass\nfields(1)\n") == []
+
+
+def test_dataclass_fields_allowed_in_ast_module_or_with_pragma():
+    source = "import dataclasses\nnames = dataclasses.fields(x)\n"
+    assert _codes(source, path="src/repro/ocal/ast.py") == []
+    assert _codes(
+        "import dataclasses\n"
+        "names = dataclasses.fields(x)  # lint: allow-fields\n"
+    ) == []
+    assert _codes(
+        "import dataclasses\n"
+        "# lint: allow-fields\n"
+        "names = dataclasses.fields(x)\n"
+    ) == []
+
+
 def test_unknown_path_exits_2(tmp_path):
     assert repro_lint.main([str(tmp_path / "missing")]) == 2
 

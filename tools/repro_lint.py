@@ -32,6 +32,13 @@ Hazard classes that generic linters don't cover here:
   costing has a single lane — neither hangs off a process-wide knob; a
   new environment read is a new hidden mode and has to be argued for
   by extending the allow-list.
+* **LNT006** — calling ``dataclasses.fields`` anywhere outside
+  :mod:`repro.ocal.ast`.  The AST walkers iterate the per-class
+  ``CHILD_FIELDS`` / ``field_names`` tables built once there
+  (DESIGN.md §6.1); ``dataclasses.fields`` rebuilds its tuple on every
+  call and was a hot-path cost of the search.  A use on a non-AST
+  dataclass that is off the hot path carries ``# lint: allow-fields``
+  on the call line or the line above.
 
 Usage: ``python tools/repro_lint.py [paths...]`` (default: ``src``).
 Exit 0 when clean, 1 with ``path:line: CODE message`` findings, 2 on
@@ -45,6 +52,7 @@ import os
 import sys
 
 PRAGMA = "lint: allow-broad-except"
+FIELDS_PRAGMA = "lint: allow-fields"
 
 #: callables whose *direct* construction is banned outside repro.parallel.
 BANNED_POOLS = {"Pool", "ProcessPoolExecutor", "ThreadPoolExecutor"}
@@ -63,6 +71,9 @@ ENV_ALLOWED_FILES = {
 }
 ENV_READERS = {"environ", "getenv"}
 
+#: the one file allowed to call dataclasses.fields without a pragma.
+FIELDS_ALLOWED_FILES = {os.path.join("repro", "ocal", "ast.py")}
+
 
 def _call_name(node: ast.Call) -> str | None:
     func = node.func
@@ -73,9 +84,11 @@ def _call_name(node: ast.Call) -> str | None:
     return None
 
 
-def _has_pragma(lines: list[str], lineno: int) -> bool:
+def _has_pragma(
+    lines: list[str], lineno: int, pragma: str = PRAGMA
+) -> bool:
     for candidate in (lineno, lineno - 1):
-        if 1 <= candidate <= len(lines) and PRAGMA in lines[candidate - 1]:
+        if 1 <= candidate <= len(lines) and pragma in lines[candidate - 1]:
             return True
     return False
 
@@ -113,6 +126,27 @@ def _is_env_read(node: ast.AST) -> bool:
     return False
 
 
+def _imports_dataclass_fields(tree: ast.AST) -> bool:
+    """True when the module does ``from dataclasses import fields``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            for alias in node.names:
+                if (alias.asname or alias.name) == "fields":
+                    return True
+    return False
+
+
+def _is_fields_call(node: ast.Call, bare_fields_is_dataclasses: bool) -> bool:
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr == "fields":
+        return isinstance(func.value, ast.Name) and func.value.id == (
+            "dataclasses"
+        )
+    if isinstance(func, ast.Name) and func.id == "fields":
+        return bare_fields_is_dataclasses
+    return False
+
+
 def _is_sleep_call(node: ast.Call, bare_sleep_is_time: bool) -> bool:
     func = node.func
     if isinstance(func, ast.Attribute) and func.attr == "sleep":
@@ -131,6 +165,8 @@ def check_source(path: str, source: str) -> list[tuple[str, int, str, str]]:
     sleep_ok = _path_exempt(path, SLEEP_ALLOWED_FILES)
     bare_sleep_is_time = _imports_time_sleep(tree)
     env_ok = _path_exempt(path, ENV_ALLOWED_FILES)
+    fields_ok = _path_exempt(path, FIELDS_ALLOWED_FILES)
+    bare_fields_is_dataclasses = _imports_dataclass_fields(tree)
     for node in ast.walk(tree):
         if not env_ok and _is_env_read(node):
             findings.append(
@@ -164,6 +200,21 @@ def check_source(path: str, source: str) -> list[tuple[str, int, str, str]]:
                         "time.sleep outside the backoff helper; use "
                         "repro.runtime.faults.sleep_for_retry "
                         "(DESIGN.md §16)",
+                    )
+                )
+            if (
+                not fields_ok
+                and _is_fields_call(node, bare_fields_is_dataclasses)
+                and not _has_pragma(lines, node.lineno, FIELDS_PRAGMA)
+            ):
+                findings.append(
+                    (
+                        path,
+                        node.lineno,
+                        "LNT006",
+                        "dataclasses.fields outside repro.ocal.ast; walk "
+                        "ast.CHILD_FIELDS / ast.field_names, or justify "
+                        f"with '# {FIELDS_PRAGMA}'",
                     )
                 )
         elif isinstance(node, ast.ExceptHandler):
