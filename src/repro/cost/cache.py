@@ -92,9 +92,9 @@ memo per model fingerprint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable
 
+from ..bounded import trim_oldest_half
 from ..ocal.ast import Node
 from ..optimizer.penalty import (
     OptimizationResult,
@@ -192,17 +192,6 @@ def _inserted_after(table: dict, mark: object) -> list:
     return newer
 
 
-def _trim_oldest_half(table: dict) -> None:
-    """Drop the oldest half of *table* (dict order = insertion order).
-
-    Bounded eviction that keeps the still-hot recent half alive; the
-    old behaviour (``table.clear()``) threw away a full table of
-    amortization in one insert.
-    """
-    for key in list(islice(iter(table), max(1, len(table) // 2))):
-        del table[key]
-
-
 class CostMemo:
     """Memoization tables for estimates, tunings, subtrees and bounds.
 
@@ -248,7 +237,7 @@ class CostMemo:
             return cached  # type: ignore[return-value]
         self.stats.estimate_misses += 1
         if len(self._estimates) >= self.maxsize:
-            _trim_oldest_half(self._estimates)
+            trim_oldest_half(self._estimates)
         try:
             estimate = compute()
         except EstimatorError:
@@ -296,9 +285,9 @@ class CostMemo:
             return cached
         self.stats.tune_misses += 1
         if len(self._tunings) >= self.maxsize:
-            _trim_oldest_half(self._tunings)
+            trim_oldest_half(self._tunings)
         if len(self._folds) >= self.maxsize:
-            _trim_oldest_half(self._folds)
+            trim_oldest_half(self._folds)
         cost, constraints = fold_problem(
             estimate.total, estimate.constraints, stats, self._folds
         )
@@ -312,7 +301,7 @@ class CostMemo:
         shared = self._folded_tunings.get(folded_key)
         if shared is None:
             if len(self._folded_tunings) >= self.maxsize:
-                _trim_oldest_half(self._folded_tunings)
+                trim_oldest_half(self._folded_tunings)
             shared = self._folded_tunings[folded_key] = ParameterOptimizer(
                 cost=cost,
                 constraints=constraints,
@@ -338,9 +327,9 @@ class CostMemo:
         cached = self.bounds.get(key)
         if cached is None:
             if len(self.bounds) >= self.maxsize:
-                _trim_oldest_half(self.bounds)
+                trim_oldest_half(self.bounds)
             if len(self._term_minima) >= self.maxsize:
-                _trim_oldest_half(self._term_minima)
+                trim_oldest_half(self._term_minima)
             cached = self.bounds[key] = optimistic_cost(
                 estimate, stats, self._term_minima
             )
@@ -350,7 +339,7 @@ class CostMemo:
     def store_subtree(self, key, value) -> None:
         """Insert one incremental-estimation entry, respecting maxsize."""
         if len(self.subtrees) >= self.maxsize:
-            _trim_oldest_half(self.subtrees)
+            trim_oldest_half(self.subtrees)
         self.subtrees[key] = value
 
     # ------------------------------------------------------------------
@@ -390,7 +379,7 @@ class CostMemo:
         if program in self._estimates:
             return False
         if len(self._estimates) >= self.maxsize:
-            _trim_oldest_half(self._estimates)
+            trim_oldest_half(self._estimates)
         self._estimates[program] = _FAILED if estimate is None else estimate
         return True
 
@@ -400,7 +389,7 @@ class CostMemo:
         if key in self._tunings:
             return False
         if len(self._tunings) >= self.maxsize:
-            _trim_oldest_half(self._tunings)
+            trim_oldest_half(self._tunings)
         self._tunings[key] = result
         return True
 

@@ -20,13 +20,10 @@ are re-run on replay, so the names come out in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from ..hierarchy import MemoryHierarchy
 from ..ocal.ast import Node
-
-if TYPE_CHECKING:
-    from .engine import RewriteMemo
 
 __all__ = ["Rule", "RuleContext", "Rewrite"]
 
@@ -47,7 +44,7 @@ class RuleContext:
     #: engine-managed table of rule firings per (subtree, scope); the
     #: synthesizer shares one per rule-context fingerprint across
     #: requests, ``None`` gives each ``iter_rewrites`` call its own.
-    _rewrite_memo: RewriteMemo | None = None
+    _rewrite_memo: dict | None = None
 
     def fresh_param(self, prefix: str = "k") -> str:
         """A parameter name unused so far in this rewrite session."""

@@ -33,49 +33,30 @@ is recorded as "fires here" and *re-applied* on replay, so fresh names
 are drawn in exactly the order a memo-less walk draws them and every
 pre-canonical rewrite is bit-identical.
 
-The table is a :class:`RewriteMemo` owned by whoever owns the rule
-context: the :class:`~repro.search.synthesizer.Synthesizer` keeps one
-per rule-context fingerprint and hands it over as
+The table is a plain dict — ``(subtree, scope)`` → the pre-order tuple
+of ``(relative position, rule, outcome)`` for every position inside the
+subtree where a rule fired, ``outcome`` being the tuple of replacements
+or a :class:`_Refire` — owned by whoever owns the rule context: the
+:class:`~repro.search.synthesizer.Synthesizer` keeps one per
+rule-context fingerprint and hands it over as
 ``RuleContext._rewrite_memo``; a bare context gets a table for the one
-call.
+call.  At ``_REWRITE_MEMO_CAP`` entries the table sheds its oldest half
+before the next insert (recomputation only, never a different stream).
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from ..cost.cache import _trim_oldest_half
+from ..bounded import trim_oldest_half
 from ..ocal.ast import For, Node, PositionPath, child_steps, field_names
 from .base import Rewrite, Rule, RuleContext
 
-__all__ = ["RewriteMemo", "all_rewrites", "iter_rewrites"]
+__all__ = ["all_rewrites", "iter_rewrites"]
 
-
-class RewriteMemo:
-    """Rule firings per ``(subtree, for-bound scope)`` for one rule context.
-
-    ``entries`` maps a key to the pre-order tuple of ``(relative
-    position, rule, outcome)`` for every position inside the subtree
-    where a rule fired; ``outcome`` is the tuple of replacements, or a
-    :class:`_Refire` for an application that drew fresh names.
-    ``maxsize`` caps the table; at the cap it sheds its oldest half
-    before the next insert (recomputation only, never a different
-    stream).
-    """
-
-    __slots__ = ("entries", "maxsize")
-
-    def __init__(self, maxsize: int = 1 << 16) -> None:
-        self.entries: dict[tuple[Node, frozenset[str]], tuple] = {}
-        self.maxsize = maxsize
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def record(self, key: tuple[Node, frozenset[str]], firings: tuple) -> None:
-        if len(self.entries) >= self.maxsize:
-            _trim_oldest_half(self.entries)
-        self.entries[key] = firings
+#: entries a rewrite table holds before it sheds its oldest half.  Not
+#: measured against traffic: the benchmark's warm Session fills ~1 600.
+_REWRITE_MEMO_CAP = 1 << 16
 
 
 class _Refire:
@@ -100,7 +81,7 @@ def iter_rewrites(
     """
     memo = ctx._rewrite_memo
     if memo is None:
-        memo = RewriteMemo()
+        memo = {}
     emitted: set[tuple[str, Node]] = set()
     firings = _firings(program, frozenset(), (), tuple(rules), ctx, memo)
     for rule_name, position, replacement in firings:
@@ -125,7 +106,7 @@ def _firings(
     position: PositionPath,
     rules: tuple[Rule, ...],
     ctx: RuleContext,
-    memo: RewriteMemo,
+    memo: dict,
 ):
     """Pre-order generator of (rule name, position, replacement).
 
@@ -133,7 +114,7 @@ def _firings(
     in *scope*, relative to *node*.
     """
     key = (node, scope)
-    recorded = memo.entries.get(key)
+    recorded = memo.get(key)
     if recorded is not None:
         for relative, rule, outcome in recorded:
             if type(outcome) is _Refire:
@@ -172,7 +153,9 @@ def _firings(
             for relative, rule, outcome in inner
         )
     recorded = tuple(firings)
-    memo.record(key, recorded)
+    if len(memo) >= _REWRITE_MEMO_CAP:
+        trim_oldest_half(memo)
+    memo[key] = recorded
     return recorded
 
 

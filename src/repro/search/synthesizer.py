@@ -44,7 +44,7 @@ from ..ocal.ast import Node, intern_node
 from ..ocal.interp import canonicalize_blocks
 from ..parallel import resolve_workers
 from ..rules.base import Rewrite, Rule, RuleContext
-from ..rules.engine import RewriteMemo, iter_rewrites
+from ..rules.engine import iter_rewrites
 from ..rules.registry import default_rules
 from .frontier import SearchLimits
 from .parallel_cost import DeferredCandidate, FrontierCoster
@@ -89,7 +89,7 @@ class Synthesizer:
     _memos: dict[object, CostMemo] = field(
         default_factory=dict, init=False, repr=False
     )
-    _rewrite_memos: dict[object, tuple[MemoryHierarchy, RewriteMemo]] = field(
+    _rewrite_memos: dict[object, dict] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -391,26 +391,20 @@ class Synthesizer:
 
     def _rewrite_memo_for(
         self, input_locations: dict[str, str], output_location: str | None
-    ) -> RewriteMemo:
+    ) -> dict:
         """The rewrite memo for one rule-context fingerprint.
 
         Rule firings are a function of the rules and of the context's
-        fixed fields (DESIGN.md §3), so one table per (rules, hierarchy,
-        input locations, output location, treefold arity) is shared by
-        every request with that fingerprint.  The hierarchy is keyed by
-        identity and held in the value, so its id cannot be reused.
+        fixed fields (DESIGN.md §3).  The rules, hierarchy and treefold
+        arity are fixed per synthesizer, so one table per (input
+        locations, output location) is shared by every request with
+        that fingerprint.
         """
-        key = (
-            tuple(self.rules),
-            id(self.hierarchy),
-            tuple(sorted(input_locations.items())),
-            output_location,
-            self.max_treefold_arity,
-        )
-        entry = self._rewrite_memos.get(key)
-        if entry is None:
-            entry = self._rewrite_memos[key] = (self.hierarchy, RewriteMemo())
-        return entry[1]
+        key = (tuple(sorted(input_locations.items())), output_location)
+        memo = self._rewrite_memos.get(key)
+        if memo is None:
+            memo = self._rewrite_memos[key] = {}
+        return memo
 
     def _memo_for(self, model: CostModel) -> CostMemo:
         """The cost memo for one model fingerprint (hierarchy is fixed)."""

@@ -212,17 +212,17 @@ class TestBoundedEviction:
         ]
 
     def test_trim_keeps_the_newest_half(self):
-        from repro.cost.cache import _trim_oldest_half
+        from repro.bounded import trim_oldest_half
 
         table = {f"k{i}": i for i in range(6)}
-        _trim_oldest_half(table)
+        trim_oldest_half(table)
         assert list(table) == ["k3", "k4", "k5"]
 
     def test_trim_of_tiny_table_still_makes_room(self):
-        from repro.cost.cache import _trim_oldest_half
+        from repro.bounded import trim_oldest_half
 
         table = {"only": 1}
-        _trim_oldest_half(table)
+        trim_oldest_half(table)
         assert table == {}
 
     def test_at_cap_insert_keeps_recent_entries(self):

@@ -39,7 +39,7 @@ from repro.ocal.ast import (
 from repro.ocal.builders import for_, sing, tup, v
 from repro.ocal.interp import canonicalize_blocks
 from repro.rules import Rule, RuleContext, iter_rewrites
-from repro.rules.engine import RewriteMemo
+from repro.rules import engine
 from repro.rules.registry import default_rules
 from repro.search import synthesizer as synthesizer_module
 
@@ -149,7 +149,7 @@ def test_sweep_streams_match_reference_first_visit_and_warm(monkeypatch):
             for strategy in STRATEGIES:
                 session.synthesize(name, scale="table1", strategy=strategy)
         for synthesizer in session._synthesizers.values():
-            for _, memo in synthesizer._rewrite_memos.values():
+            for memo in synthesizer._rewrite_memos.values():
                 sizes[id(memo)] = len(memo)
         if sweep == "first":
             first_sizes = sizes
@@ -186,7 +186,7 @@ def _programs():
 
 def test_counting_rule_sees_each_subtree_scope_once_per_table():
     counter = CountVisits()
-    ctx = RuleContext(_rewrite_memo=RewriteMemo())
+    ctx = RuleContext(_rewrite_memo={})
     for program in _programs() * 2:
         list(iter_rewrites(program, [counter], ctx))
     assert counter.visits and set(counter.visits.values()) == {1}
@@ -237,7 +237,7 @@ class DrawOnly(Rule):
 def test_fresh_name_rule_refires_and_draws_in_the_same_order():
     rule = FreshWrap()
     rules = [DrawOnly(), rule]
-    memo = RewriteMemo()
+    memo = {}
     program = tup(v("a"), sing(v("b")), v("a"))
     first = _assert_same_as_reference(
         program, rules, RuleContext(_rewrite_memo=memo)
@@ -258,9 +258,10 @@ def test_fresh_name_rule_refires_and_draws_in_the_same_order():
 # ----------------------------------------------------------------------
 # (d) a starved table gives identical streams
 # ----------------------------------------------------------------------
-def test_starved_table_gives_identical_streams():
+def test_starved_table_gives_identical_streams(monkeypatch):
+    monkeypatch.setattr(engine, "_REWRITE_MEMO_CAP", 4)
     session = Session()
-    memo = RewriteMemo(maxsize=4)
+    memo = {}
     for name in ("bnl-join", "external-sort", "grace-join"):
         experiment = session.experiment(name, "validation")
         ctx = RuleContext(
@@ -371,10 +372,14 @@ def test_fresh_name_fallback_is_a_function_of_its_arguments():
     assert fresh_name("p", avoid) == first == "p_1"
 
 
-@pytest.mark.parametrize("maxsize", [1, 2])
-def test_memo_trims_oldest_half_at_the_cap(maxsize):
-    memo = RewriteMemo(maxsize=maxsize)
+@pytest.mark.parametrize("cap", [1, 2])
+def test_memo_trims_oldest_half_at_the_cap(monkeypatch, cap):
+    monkeypatch.setattr(engine, "_REWRITE_MEMO_CAP", cap)
+    memo = {}
+    ctx = RuleContext(_rewrite_memo=memo)
     for index in range(5):
-        memo.record((Var(f"x{index}"), frozenset()), ())
-    assert len(memo) <= maxsize
-    assert (Var("x4"), frozenset()) in memo.entries
+        program = tup(v(f"x{index}"), sing(v("y")))
+        list(iter_rewrites(program, default_rules(), ctx))
+        assert len(memo) <= cap
+    # The root's entry is recorded last, so it survives the shed.
+    assert (program, frozenset()) in memo
