@@ -34,6 +34,7 @@ __all__ = [
     "ExecutionError",
     "EdgePath",
     "bind_pattern",
+    "merge_levels",
     "cumulative_edge_costs",
     "build_devices",
     "ChargeModel",
@@ -42,6 +43,24 @@ __all__ = [
 
 class ExecutionError(RuntimeError):
     """Raised when a program cannot be executed by a backend."""
+
+
+def merge_levels(runs, arity: int) -> int:
+    """The merge passes of an ``arity``-way ``treeFold`` over ``runs``
+    runs: the smallest k with ``arity**k >= runs``.
+
+    Counted in integers: ``ceil(log(runs, arity))`` overshoots at exact
+    powers (``log(125, 5)`` is 3.0000000000000004).
+    """
+    if arity < 2:
+        raise ValueError(f"merge arity must be at least 2, got {arity}")
+    if not math.isfinite(runs):
+        raise OverflowError(f"cannot count merge levels of {runs} runs")
+    levels, reach = 0, 1
+    while reach < runs:
+        reach *= arity
+        levels += 1
+    return levels
 
 
 def bind_pattern(pattern, value, env: dict) -> None:

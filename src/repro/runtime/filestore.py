@@ -753,13 +753,39 @@ class ListBuilder:
             self._spill()
 
     def extend(self, values) -> None:
-        if isinstance(values, (MemList, FileList)):
+        """Append every value.  A list (or a ``MemList``'s items) goes
+        in whole: a spill it causes happens within this call, and the
+        sink flushes on counts of values alone, so the requests are
+        those of one ``append`` per value."""
+        if isinstance(values, MemList):
+            values = values.materialize()
+        elif isinstance(values, FileList):
             for chunk in values.iter_blocks(8192):
-                for value in chunk:
-                    self.append(value)
+                self.extend(chunk)
             return
-        for value in values:
-            self.append(value)
+        elif type(values) is not list:
+            for value in values:
+                self.append(value)
+            return
+        if self.sink is not None:
+            self.sink.extend(values)
+            return
+        if not values:
+            return
+        if self.shape is None and self.storable:
+            # The first value fixes the shape (or marks the builder
+            # unstorable), exactly as its ``append`` does.
+            self.append(values[0])
+            self.extend(values[1:])
+            return
+        self.nbytes += len(values) * self.elem_bytes
+        self.items += values
+        if (
+            self.storable
+            and self.nbytes > self.budget
+            and self.spill_store is not None
+        ):
+            self._spill()
 
     # ------------------------------------------------------------------
     def _spill(self) -> None:

@@ -57,6 +57,7 @@ from .accounting import (
     ExecutionResult,
     InputSpec,
     bind_pattern,
+    merge_levels,
 )
 from .devices import SimDevice
 from .values import RtList, RtScalar, RtValue
@@ -528,9 +529,7 @@ class AnalyticInterpreter:
         total_elems = runs * elem_card
         total_bytes = total_elems * elem_bytes
         device = source.device or self.charges.spill_device()
-        levels = max(
-            1, math.ceil(math.log(max(2.0, runs), fn.arity))
-        )
+        levels = max(1, merge_levels(runs, fn.arity))
         block_in = 1
         block_out = 1
         if isinstance(fn.fn, UnfoldR):

@@ -314,12 +314,15 @@ def _run_merge_groups(payload):
         block_in = payload["block_in"]
         groups = []
         for group in payload["groups"]:
-            streams = [
-                rt._segment_stream(
-                    decode_rt(doc, stores), start, length, block_in
+            streams = []
+            for doc, start, length in group:
+                level = decode_rt(doc, stores)
+                segment = FileList(
+                    level.store, level.handle,
+                    level.base + start * level.elem_bytes, length,
+                    level.shape,
                 )
-                for doc, start, length in group
-            ]
+                streams.append(rt._elements(segment, block_in))
             sink = _RecordingSink(events)
             marker = len(events)
             for value in heapq.merge(*streams):

@@ -25,11 +25,17 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import math
+import itertools
+from operator import lt
 
 from ..ocal.ast import Builtin, FuncPow, Node, Pattern, UnfoldR
 from ..ocal.interp import stable_hash
-from .accounting import ExecutionConfig, ExecutionError, bind_pattern
+from .accounting import (
+    ExecutionConfig,
+    ExecutionError,
+    bind_pattern,
+    merge_levels,
+)
 from .filestore import (
     DeviceStore,
     FileList,
@@ -51,6 +57,25 @@ def _as_list(value):
     if isinstance(value, ListBuilder):
         return value.finish()
     return value
+
+
+def _plain(chunk: list) -> list:
+    """A block's merge values: a singleton run ``[x]`` merges as ``x``."""
+    if list in map(type, chunk):
+        return [item[0] if isinstance(item, list) else item for item in chunk]
+    return chunk
+
+
+def _ascending(chunk: list) -> bool:
+    return not any(map(lt, itertools.islice(chunk, 1, None), chunk))
+
+
+def _remaining(chunk: list, cursor: int, blocks):
+    """A stream's elements from ``chunk[cursor]`` on; each later block is
+    read when the one before it has been emitted to its last element."""
+    yield from itertools.islice(chunk, cursor, None)
+    for later in blocks:
+        yield from _plain(later)
 
 
 class PrimitiveLibrary:
@@ -231,11 +256,14 @@ class PrimitiveLibrary:
         )
         placed = False
         for chunk in acc.iter_blocks(READ_CHUNK):
-            for item in chunk:
-                if not placed and value < item:
-                    writer.append(value)
+            if not placed:
+                # The accumulator is sorted: ``value`` goes before the
+                # first item above it.
+                cut = bisect.bisect_right(chunk, value)
+                if cut < len(chunk):
+                    chunk.insert(cut, value)
                     placed = True
-                writer.append(item)
+            writer.extend(chunk)
         if not placed:
             writer.append(value)
         result = writer.finish(sorted=True)
@@ -253,7 +281,7 @@ class PrimitiveLibrary:
                 for item in source.materialize()
             ]
             self.iterations += len(values) * max(
-                1, math.ceil(math.log(max(2, len(values)), arity))
+                1, merge_levels(len(values), arity)
             )
             return MemList(sorted(values), sorted=True)
 
@@ -263,16 +291,21 @@ class PrimitiveLibrary:
         if isinstance(shape, tuple) and shape and shape[0] == "run":
             shape = shape[1]
         data = FileList(
-            source.store, source.handle, source.base, source.length, shape
+            source.store, source.handle,
+            source.base + source.start * source.elem_bytes, len(source),
+            shape,
         )
         store = self.spill_store()
-        segments = [(data, index, 1) for index in range(len(data))]
-        while len(segments) > 1:
+        # The current level's file and its runs' lengths, in file order;
+        # level 0 is ``data`` as singleton runs.
+        level, runs = data, [1] * len(data)
+        while len(runs) > 1:
             handle = store.new_file("sortlevel")
             writer = RecordSink(store, handle, shape, block_out)
+            starts = list(itertools.accumulate(runs, initial=0))
             groups = [
-                segments[base : base + arity]
-                for base in range(0, len(segments), arity)
+                range(base, min(base + arity, len(runs)))
+                for base in range(0, len(runs), arity)
             ]
             counts = self.NOT_PARALLEL
             if self.workers > 1 and len(groups) > 1:
@@ -283,38 +316,48 @@ class PrimitiveLibrary:
                 from .parallel_exec import parallel_merge_level
 
                 counts = parallel_merge_level(
-                    self, groups, block_in, writer
+                    self,
+                    [
+                        [(level, starts[run], runs[run]) for run in group]
+                        for group in groups
+                    ],
+                    block_in,
+                    writer,
                 )
-            new_segments: list[tuple] = []
-            written = 0
-            if counts is not self.NOT_PARALLEL:
-                for count in counts:
-                    new_segments.append((None, written, count))
-                    written += count
-            else:
+            if counts is self.NOT_PARALLEL:
+                counts = []
                 for group in groups:
-                    streams = [
-                        self._segment_stream(lst, start, length, block_in)
-                        for lst, start, length in group
-                    ]
-                    count = 0
-                    for value in heapq.merge(*streams):
-                        writer.append(value)
-                        count += 1
-                        self.iterations += 1
-                    new_segments.append((None, written, count))
-                    written += count
+                    if level is data:
+                        # Singleton runs: one one-record read per run,
+                        # then the group is its own sorted emit.
+                        batch: list = []
+                        for run in group:
+                            batch += data._read_records(run, 1)
+                        batch.sort()
+                        writer.extend(batch)
+                        self.iterations += len(batch)
+                    else:
+                        width = level.elem_bytes
+                        self._block_merge(
+                            [
+                                FileList(
+                                    level.store, level.handle,
+                                    level.base + starts[run] * width,
+                                    runs[run], shape,
+                                )
+                                for run in group
+                            ],
+                            block_in,
+                            writer.extend,
+                        )
+                    counts.append(starts[group.stop] - starts[group.start])
             level = writer.finish(sorted=True)
-            segments = [
-                (level, start, length)
-                for _, start, length in new_segments
-            ]
-        if not segments:
+            runs = counts
+        if not runs:
             return MemList([], sorted=True)
-        lst, start, length = segments[0]
         return FileList(
-            lst.store, lst.handle, lst.base + start * lst.elem_bytes,
-            length, lst.shape, sorted=True,
+            level.store, level.handle, level.base, runs[0], level.shape,
+            sorted=True,
         )
 
     def _treefold_generic(self, source, step, init, arity: int):
@@ -405,33 +448,101 @@ class PrimitiveLibrary:
 
     def _unfold_zip(self, lists, block: int, sink: ListBuilder) -> None:
         iterators = [lst.iter_blocks(block) for lst in lists]
-        while True:
+        while iterators:
             chunks = []
             for iterator in iterators:
                 chunks.append(next(iterator, None))
             if any(chunk is None for chunk in chunks):
                 break
-            for row in zip(*chunks):
-                self.iterations += 1
-                sink.append(tuple(row))
+            rows = list(zip(*chunks))
+            sink.extend(rows)
+            self.iterations += len(rows)
 
     def _merge_streams(self, lists, block: int, sink: ListBuilder) -> None:
-        streams = [self._elements(lst, block) for lst in lists]
-        for value in heapq.merge(*streams):
-            self.iterations += 1
-            sink.append(value)
+        self._block_merge(lists, block, sink.extend)
+
+    def _block_merge(self, lists, block: int, emit) -> None:
+        """Stable k-way merge of sorted lists, a block at a time.
+
+        Emits (through ``emit``, a flush-exact ``extend``) exactly the
+        sequence ``heapq.merge`` over the lists' elements yields, with
+        every block read at the point that merge would read it
+        (DESIGN.md §8.2, the merge kernel): all streams are primed in
+        order; each step takes the stream whose block ends first by
+        (last value, stream order), emits everything that precedes that
+        last element in every current block as one stable sort, then
+        reads that stream's next block.  A block that is not ascending
+        (from the stream's previous element on) ends the block steps:
+        the rest merges element by element through ``heapq.merge``.
+        """
+        chunks: list[list] = []
+        cursors: list[int] = []
+        unread: list[int] = []
+        streams = []
+        ordered = True
+        for lst in lists:
+            if not len(lst):
+                continue
+            blocks = lst.iter_blocks(block)
+            chunk = _plain(next(blocks))
+            ordered = ordered and _ascending(chunk)
+            chunks.append(chunk)
+            cursors.append(0)
+            unread.append(len(lst) - len(chunk))
+            streams.append(blocks)
+        while ordered and chunks:
+            if not any(unread):
+                # Every stream is on its final block: one sorted emit.
+                batch = []
+                for chunk, cursor in zip(chunks, cursors):
+                    batch += chunk[cursor:]
+                if len(chunks) > 1:
+                    batch.sort()
+                emit(batch)
+                self.iterations += len(batch)
+                return
+            first, last = 0, chunks[0][-1]
+            for index in range(1, len(chunks)):
+                if chunks[index][-1] < last:
+                    first, last = index, chunks[index][-1]
+            batch = []
+            parts = 0
+            for index, chunk in enumerate(chunks):
+                cursor = cursors[index]
+                if index == first:
+                    cut = len(chunk)
+                elif index < first:
+                    cut = bisect.bisect_right(chunk, last, cursor)
+                else:
+                    cut = bisect.bisect_left(chunk, last, cursor)
+                if cut > cursor:
+                    batch += chunk[cursor:cut]
+                    cursors[index] = cut
+                    parts += 1
+            if parts > 1:
+                batch.sort()
+            emit(batch)
+            self.iterations += len(batch)
+            if unread[first]:
+                chunk = _plain(next(streams[first]))
+                ordered = not chunk[0] < last and _ascending(chunk)
+                chunks[first] = chunk
+                cursors[first] = 0
+                unread[first] -= len(chunk)
+            else:
+                del chunks[first], cursors[first], unread[first]
+                del streams[first]
+        if chunks:
+            for value in heapq.merge(
+                *map(_remaining, chunks, cursors, streams)
+            ):
+                emit([value])
+                self.iterations += 1
 
     def _elements(self, lst, block: int):
         for chunk in lst.iter_blocks(block):
             for element in chunk:
                 yield element[0] if isinstance(element, list) else element
-
-    def _segment_stream(self, lst: FileList, start: int, length: int, block):
-        view = FileList(
-            lst.store, lst.handle, lst.base + start * lst.elem_bytes,
-            length, lst.shape,
-        )
-        yield from self._elements(view, block)
 
     # ------------------------------------------------------------------
     # Builtins and partitioning
