@@ -38,6 +38,7 @@ from ..ocal.serialize import node_from_json, node_to_json
 from ..parallel import resolve_workers, run_tasks
 from ..runtime.backend import ExecutionBackend
 from ..search.result import SynthesisResult
+from ..search.strategies import SearchStrategy
 from ..search.synthesizer import Synthesizer
 from .catalog import default_registry
 from .job import Alternative, Job, JobResult, SearchStats
@@ -116,13 +117,15 @@ class Session:
         self,
         workload: "str | Workload | Experiment",
         scale: str | None = None,
-        strategy: str | None = None,
+        strategy: str | SearchStrategy | None = None,
     ) -> Job:
         """Synthesize one workload into a :class:`Job` (nothing executes).
 
         ``workload`` is a registry name, a :class:`Workload`, or an
         ad-hoc :class:`Experiment`; ``scale`` picks ``"validation"`` /
-        ``"table1"`` (default: the workload's own default).  Synthesizer
+        ``"table1"`` (default: the workload's own default).
+        ``strategy`` is a registered name or a configured instance such
+        as ``BeamSearch(width=3)``; the job records its name.  Synthesizer
         instances — and therefore cost memos — are shared across calls
         with the same hierarchy and search caps, so repeated or related
         jobs only pay estimation once.
@@ -130,17 +133,16 @@ class Session:
         resolved_scale = self._resolved_scale(workload, scale)
         experiment = self.experiment(workload, scale)
         synthesizer = self._synthesizer_for(experiment)
+        strategy = strategy or self.strategy
         started = time.perf_counter()
         synthesis = synthesize_experiment(
-            experiment,
-            strategy=strategy or self.strategy,
-            synthesizer=synthesizer,
+            experiment, strategy=strategy, synthesizer=synthesizer
         )
         seconds = time.perf_counter() - started
         self.stats.note(synthesis, seconds)
         return self._job_from_synthesis(
             experiment, resolved_scale, synthesis, seconds,
-            strategy or self.strategy,
+            strategy if isinstance(strategy, str) else synthesis.strategy,
         )
 
     def synthesize_all(

@@ -4,10 +4,9 @@ from .figure8 import (
     Figure8Point,
     aggregation_sweep,
     bnl_writeout_sweep,
-    format_figure8,
     merge_sort_sweep,
 )
-from .harness import Experiment, ExperimentRow, format_table, run_experiment
+from .harness import Experiment, ExperimentRow, run_experiment
 from .table1 import ALL_EXPERIMENTS
 from .validation import (
     run_validation,
@@ -29,7 +28,6 @@ __all__ = [
     "Experiment",
     "ExperimentRow",
     "run_experiment",
-    "format_table",
     "ALL_EXPERIMENTS",
     "VALIDATION_WORKLOADS",
     "validation_experiment",
@@ -39,5 +37,4 @@ __all__ = [
     "bnl_writeout_sweep",
     "merge_sort_sweep",
     "aggregation_sweep",
-    "format_figure8",
 ]

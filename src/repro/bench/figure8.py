@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 from ..hierarchy import KB, MB, hdd_ram_hierarchy
 from ..cost.annotated import atom, list_annot, tuple_annot
-from ..runtime.executor import InputSpec
+from ..runtime.accounting import InputSpec
 from ..symbolic import var
 from ..workloads.specs import aggregation_spec, insertion_sort_spec
 from .harness import Experiment, run_experiment
 from .table1 import JOIN_TUPLE, SCAN_ELEM
 
 __all__ = ["Figure8Point", "bnl_writeout_sweep", "merge_sort_sweep",
-           "aggregation_sweep", "format_figure8"]
+           "aggregation_sweep"]
 
 
 @dataclass
@@ -128,27 +128,3 @@ def aggregation_sweep() -> list[Figure8Point]:
         )
         points.append(_run(exp, f"{data_mb}M/{buf_kb}K"))
     return points
-
-
-def format_figure8(panels: dict[str, list[Figure8Point]]) -> str:
-    """Textual rendering of the three panels."""
-    lines = []
-    for title, points in panels.items():
-        lines.append(f"== {title} ==")
-        lines.append(
-            f"{'size/buffer':<18} {'Estimated[s]':>14} {'Measured[s]':>14} "
-            f"{'gap':>10} {'gap %':>8}"
-        )
-        for point in points:
-            gap_pct = (
-                100 * point.underestimation / point.measured
-                if point.measured
-                else 0.0
-            )
-            lines.append(
-                f"{point.label:<18} {point.estimated:>14.4g} "
-                f"{point.measured:>14.4g} {point.underestimation:>10.4g} "
-                f"{gap_pct:>7.1f}%"
-            )
-        lines.append("")
-    return "\n".join(lines)

@@ -8,7 +8,7 @@ pipeline —
     synthesize → tune parameters → bind plan → simulate execution —
 
 and returns a :class:`ExperimentRow` with the Spec/Opt/Act columns plus
-search statistics, ready for ``format_table``.
+search statistics.
 
 Experiments are named and cataloged by the central registry
 (:func:`repro.api.default_registry`); the supported front door for
@@ -19,8 +19,8 @@ on :func:`synthesizer_for` / :func:`synthesize_experiment` /
 Absolute numbers are *not* expected to match the paper (our substrate is
 a simulator and our inputs are rescaled); the reproduced claims are the
 relationships: Spec ≫ Opt, Act tracking Opt, hash join beating BNL,
-same-disk write-out beating neither, and so on.  EXPERIMENTS.md records
-both sides for every row.
+same-disk write-out beating neither, and so on.  The tier-1 module
+``tests/bench/test_paper_claims.py`` checks them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from ..cost.annotated import Annot
 from ..hierarchy import MemoryHierarchy
 from ..ocal.ast import Node
 from ..codegen.plan import compile_candidate
-from ..runtime.executor import ExecutionConfig, InputSpec
+from ..runtime.accounting import ExecutionConfig, InputSpec
+from ..search.strategies import SearchStrategy
 from ..search.synthesizer import Synthesizer
 from ..search.result import SynthesisResult
 
@@ -43,7 +44,6 @@ __all__ = [
     "synthesize_experiment",
     "synthesizer_for",
     "experiment_config",
-    "format_table",
 ]
 
 
@@ -135,7 +135,7 @@ def synthesizer_for(
 
 def synthesize_experiment(
     experiment: Experiment,
-    strategy: str | None = None,
+    strategy: str | SearchStrategy | None = None,
     synthesizer: Synthesizer | None = None,
 ) -> SynthesisResult:
     """The synthesis half of the pipeline (shared by the bench, CLI, and
@@ -201,28 +201,3 @@ def run_experiment(
         derivation=synthesis.best.derivation,
         result=result,
     )
-
-
-def format_table(rows: list[ExperimentRow]) -> str:
-    """A Table-1-style report with paper reference columns."""
-    header = (
-        f"{'Experiment':<34} {'Spec[s]':>12} {'Opt[s]':>10} {'Act[s]':>10} "
-        f"{'Act/Opt':>8} {'Space':>6} {'Steps':>5} {'Synth[s]':>8}  "
-        f"{'paper Spec/Opt/Act':>24}"
-    )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        exp = row.experiment
-        paper = "-"
-        if exp.paper_spec is not None:
-            paper = (
-                f"{exp.paper_spec:.3g}/{exp.paper_opt:.3g}/"
-                f"{exp.paper_act:.3g}"
-            )
-        lines.append(
-            f"{exp.name:<34} {row.spec_cost:>12.5g} {row.opt_cost:>10.4g} "
-            f"{row.actual:>10.4g} {row.act_over_opt:>8.2f} "
-            f"{row.search_space:>6} {row.steps:>5} "
-            f"{row.synth_runtime:>8.2f}  {paper:>24}"
-        )
-    return "\n".join(lines)

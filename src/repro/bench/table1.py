@@ -22,7 +22,7 @@ from ..hierarchy import (
     hdd_ram_hierarchy,
     two_hdd_hierarchy,
 )
-from ..runtime.executor import InputSpec
+from ..runtime.accounting import InputSpec
 from ..symbolic import var
 from ..workloads.specs import (
     aggregation_spec,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..ocal.ast import Node, block_params
 from ..ocal.interp import substitute_blocks
 from ..runtime.backend import ExecutionBackend, get_backend
-from ..runtime.executor import (
+from ..runtime.accounting import (
     ExecutionConfig,
     ExecutionResult,
     InputSpec,

@@ -1,8 +1,8 @@
 """Execution substrates — the stand-ins for the paper's testbed.
 
 Three pluggable backends behind one interface
-(:mod:`repro.runtime.backend`): the analytic simulator (``SimBackend`` /
-the historical ``SimExecutor``), the real-file out-of-core executor
+(:mod:`repro.runtime.backend`): the analytic simulator (``SimBackend``
+over ``AnalyticInterpreter``), the real-file out-of-core executor
 (``FileBackend``), and the generated-Python executor over the same
 filestore (``CompiledBackend``).
 """
@@ -32,7 +32,6 @@ from .cache_experiment import (
 from .clock import SimClock
 from .devices import Extent, FlashDrive, HardDisk, Ram, SimDevice
 from .compiled_backend import CompiledBackend
-from .executor import SimExecutor
 from .faults import (
     ExecutionFault,
     FaultPlan,
@@ -60,7 +59,6 @@ __all__ = [
     "ExecutionError",
     "ChargeModel",
     "AnalyticInterpreter",
-    "SimExecutor",
     "ExecutionBackend",
     "SimBackend",
     "FileBackend",

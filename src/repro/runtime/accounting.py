@@ -121,13 +121,6 @@ class ExecutionConfig:
     #: stream sequentially and no seek is ever charged.
     cpu_per_request: float = 5e-5
     cache: CacheSim | None = None
-    #: analytic parallel-bandwidth divisor: >1 models partition-parallel
-    #: scans streaming from independent spindles, dividing the per-byte
-    #: transfer term of interrupted scans by the worker count.  The
-    #: default of 1 is an exact no-op, so priced costs — and parallel
-    #: *measured* runs, which replay serial-identical counters — never
-    #: shift unless a study opts in.
-    parallel_workers: int = 1
 
 
 @dataclass
@@ -240,7 +233,7 @@ class ChargeModel:
     The interpreter calls these rules for every cost-bearing event; they
     are behavior-preserving extractions of the original monolithic
     executor, so the simulated numbers are bit-for-bit those of the
-    seed's ``SimExecutor``.
+    seed's simulated executor.
     """
 
     def __init__(self, config: ExecutionConfig) -> None:
@@ -262,14 +255,10 @@ class ChargeModel:
         total = source.card * source.elem_bytes
         if body_did_io:
             # Each request is separated by other I/O: the head moved, so
-            # every request repositions.  Charge analytically.  The
-            # per-byte term divides by the opt-in parallel-bandwidth
-            # factor (1 by default, an exact no-op); initiation costs
-            # are per-request and do not parallelize.
-            lanes = max(1, self.config.parallel_workers)
+            # every request repositions.  Charge analytically.
             device.clock.advance_io(device.read_init * requests)
             device.stats.seeks += int(requests)
-            device.clock.advance_io(total * device.read_unit / lanes)
+            device.clock.advance_io(total * device.read_unit)
             device.stats.reads += int(requests)
             device.stats.bytes_read += total
         else:

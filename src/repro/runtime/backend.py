@@ -1,19 +1,24 @@
 """Pluggable execution backends.
 
 An :class:`ExecutionBackend` turns a tuned program plus input statistics
-into an :class:`~repro.runtime.accounting.ExecutionResult`.  Two
+into an :class:`~repro.runtime.accounting.ExecutionResult`.  Three
 substrates are provided:
 
-* :class:`SimBackend` — the analytic simulator (the seed's
-  ``SimExecutor``): loops are charged analytically against behavioral
-  device models, which scales to gigabyte workloads;
+* :class:`SimBackend` — the analytic simulator
+  (:class:`~repro.runtime.interpreter.AnalyticInterpreter`): loops are
+  charged analytically against behavioral device models, which scales
+  to gigabyte workloads;
 * :class:`~repro.runtime.file_backend.FileBackend` — real execution:
   block-sized reads/writes against actual temp files, bounded in-memory
   buffers, spill files for intermediates, measured wall clock and byte
-  counters (registered lazily to avoid an import cycle);
+  counters;
 * :class:`~repro.runtime.compiled_backend.CompiledBackend` — the same
   real-file substrate driven by generated flat Python instead of the
-  AST walker (also registered lazily).
+  AST walker.
+
+The two real-file backends register themselves when their modules are
+imported, which ``repro.runtime`` does eagerly, so every name is in the
+registry before any caller can reach :func:`get_backend`.
 
 ``get_backend("sim" | "file" | "compiled")`` resolves names to
 instances so call sites (CLI, benches, plans) can thread a string
@@ -56,9 +61,8 @@ class ExecutionBackend(Protocol):
 class SimBackend:
     """The analytic simulator behind the backend interface.
 
-    Bit-for-bit compatible with the seed's ``SimExecutor``: it *is* the
-    same interpreter and charge model, merely reached through the
-    pluggable interface.
+    It *is* :class:`AnalyticInterpreter` and its charge model, merely
+    reached through the pluggable interface.
     """
 
     name = "sim"
@@ -82,21 +86,7 @@ def register_backend(name: str, factory: type) -> None:
 
 def backend_names() -> tuple[str, ...]:
     """Names accepted by :func:`get_backend`."""
-    _ensure_builtin_backends()
     return tuple(sorted(_REGISTRY))
-
-
-def _ensure_builtin_backends() -> None:
-    """Import-to-register the lazily-loaded builtin backends.
-
-    Keeps ``_REGISTRY`` the single source of truth for every name
-    enumeration (CLI help, ``PlanError`` messages) while avoiding an
-    import cycle at module load.
-    """
-    if "file" not in _REGISTRY:
-        from . import file_backend  # noqa: F401  (registers itself)
-    if "compiled" not in _REGISTRY:
-        from . import compiled_backend  # noqa: F401  (registers itself)
 
 
 def get_backend(backend: "str | ExecutionBackend", **options) -> ExecutionBackend:
@@ -112,7 +102,6 @@ def get_backend(backend: "str | ExecutionBackend", **options) -> ExecutionBacken
                 f"an already-constructed backend instance"
             )
         return backend
-    _ensure_builtin_backends()
     try:
         factory = _REGISTRY[backend]
     except KeyError:

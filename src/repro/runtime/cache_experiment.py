@@ -13,8 +13,11 @@ join kernels through the LRU cache simulator:
 * *tiled*:    the same loops blocked by cache-sized tiles, so each tile
   pair is reused while resident.
 
-The access pattern is derived from the synthesized program's structure
-(tile sizes = the tuned block parameters), not hard-coded counts.
+The access pattern is *not* derived from a synthesized program:
+:func:`run_cache_experiment` hard-codes the relation sizes, the cache
+geometry and the tile (a quarter of the cache per relation).  Driving it
+from the ``bnl-with-cache`` winner's tuned tiles and loop order is
+ROADMAP item 12(a).
 """
 
 from __future__ import annotations

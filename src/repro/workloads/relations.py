@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..runtime.executor import InputSpec
+from ..runtime.accounting import InputSpec
 
 __all__ = [
     "RelationProfile",

@@ -8,6 +8,7 @@ from repro.codegen.plan import PlanError
 from repro.cost import atom, list_annot
 from repro.hierarchy import KB, hdd_ram_hierarchy
 from repro.runtime.accounting import InputSpec
+from repro.search import BeamSearch
 from repro.symbolic import var
 from repro.workloads import aggregation_spec
 
@@ -68,6 +69,11 @@ class TestSynthesize:
     def test_strategy_override_per_job(self, session):
         job = session.synthesize("aggregation", strategy="exhaustive-bfs")
         assert job.search.strategy == "exhaustive-bfs"
+
+    def test_configured_strategy_instance(self, session):
+        job = session.synthesize("aggregation", strategy=BeamSearch(width=3))
+        assert job.strategy == job.search.strategy == "beam"
+        assert job.to_json()["strategy"] == "beam"
 
 
 class TestSynthesizeAll:

@@ -28,8 +28,16 @@ def _report(winner_first_flags):
 def fake_report(monkeypatch):
     state = {"report": _report([True]), "calls": []}
 
-    def write_validation_report(path, names, seed, workdir):
-        state["calls"].append({"path": path, "names": names, "seed": seed})
+    def write_validation_report(path, names, seed, workdir, parallel=None):
+        state["calls"].append(
+            {
+                "path": path,
+                "names": names,
+                "seed": seed,
+                "workdir": workdir,
+                "parallel": parallel,
+            }
+        )
         return state["report"]
 
     import repro.bench.validation as validation
@@ -75,6 +83,12 @@ def test_validate_exits_nonzero_on_unknown_workload(tmp_path):
 def test_validate_passes_workload_selection_through(fake_report, tmp_path):
     out = str(tmp_path / "report.json")
     cli.main(
-        ["validate", "--workloads", "aggregation, set-union", "--out", out]
+        [
+            "validate", "--workloads", "aggregation, set-union", "--out", out,
+            "--parallel", "2", "--workdir", str(tmp_path),
+        ]
     )
-    assert fake_report["calls"][0]["names"] == ("aggregation", "set-union")
+    (call,) = fake_report["calls"]
+    assert call["names"] == ("aggregation", "set-union")
+    assert call["parallel"] == 2
+    assert call["workdir"] == str(tmp_path)

@@ -5,12 +5,11 @@ chain) for all 16 Table-1 experiments under each of the three search
 strategies, so search/cost refactors cannot silently change synthesis
 results.  The goldens live in ``goldens/table1_winners.json``.
 
-The harness runs through the declarative front door:
-``Session.synthesize_all`` over the central registry's ``table1``-scale
-workloads — one session shared across the three strategies, so its
-per-hierarchy synthesizers (and their cost memos) amortize estimation
-and tuning (≈30s total, not minutes).  This doubles as the acceptance
-check that batch synthesis returns exactly the golden winners.
+The sweep is the session-scoped ``table1_jobs`` fixture of
+``conftest.py``: ``Session.synthesize_all`` over the central registry's
+``table1``-scale workloads, one session shared across the three
+strategies.  This doubles as the acceptance check that batch synthesis
+returns exactly the golden winners.
 
 To regenerate after an *intentional* change::
 
@@ -22,13 +21,12 @@ import os
 
 import pytest
 
-from repro.api import Session, default_registry
+from repro.api import default_registry
 from repro.ocal.printer import pretty
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "goldens", "table1_winners.json"
 )
-STRATEGIES = ("exhaustive-bfs", "beam", "best-first")
 
 
 def _load_goldens() -> dict:
@@ -36,23 +34,30 @@ def _load_goldens() -> dict:
         return json.load(handle)
 
 
-def _synthesize_all() -> dict:
-    session = Session()
-    names = session.workloads(scale="table1")
-    results: dict = {}
-    for strategy in STRATEGIES:
-        jobs = session.synthesize_all(names, scale="table1", strategy=strategy)
-        for job in jobs:
-            results.setdefault(job.workload, {})[strategy] = {
+#: The strategies the golden file pins; the coverage test checks that
+#: they are exactly the ones the shared sweep runs.
+GOLDEN_STRATEGIES = sorted(
+    {strategy for row in _load_goldens().values() for strategy in row}
+)
+
+
+def _printed(jobs: dict) -> dict:
+    """The golden form of a sweep: printed winner and derivation."""
+    return {
+        name: {
+            strategy: {
                 "program": pretty(job.winner),
                 "derivation": list(job.derivation),
             }
-    return results
+            for strategy, job in per_strategy.items()
+        }
+        for name, per_strategy in jobs.items()
+    }
 
 
 @pytest.fixture(scope="module")
-def synthesized():
-    return _synthesize_all()
+def synthesized(table1_jobs):
+    return _printed(table1_jobs)
 
 
 @pytest.fixture(scope="module")
@@ -60,18 +65,20 @@ def goldens():
     return _load_goldens()
 
 
-def test_golden_file_covers_all_workloads_and_strategies(goldens):
+def test_golden_file_covers_all_workloads_and_strategies(
+    goldens, synthesized
+):
     names = {
         workload.experiment("table1").name
         for workload in default_registry()
         if "table1" in workload.scales
     }
-    assert set(goldens) == names
+    assert set(goldens) == set(synthesized) == names
     for name, per_strategy in goldens.items():
-        assert set(per_strategy) == set(STRATEGIES), name
+        assert set(per_strategy) == set(synthesized[name]), name
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("strategy", GOLDEN_STRATEGIES)
 def test_winners_match_goldens(synthesized, goldens, strategy):
     mismatches = []
     for name, per_strategy in goldens.items():
@@ -98,7 +105,9 @@ if __name__ == "__main__":
     import sys
 
     if "--regen" in sys.argv:
-        data = _synthesize_all()
+        from conftest import table1_sweep
+
+        data = _printed(table1_sweep())
         with open(GOLDEN_PATH, "w") as handle:
             json.dump(
                 data, handle, indent=2, sort_keys=True, ensure_ascii=False

@@ -74,9 +74,13 @@ class TestValidationSmoke:
 
 class TestMultisetUnionAgreement:
     def test_merge_workload_agrees(self, tmp_path):
+        # Two workloads so that ``parallel=2`` really fans synthesis out
+        # over the process pool, as ``repro validate --parallel 2`` does.
+        names = ("aggregation", "multiset-union")
         report = run_validation(
-            names=("multiset-union",), seed=7, workdir=str(tmp_path)
+            names=names, seed=7, workdir=str(tmp_path), parallel=2
         )
-        (workload,) = report["workloads"]
-        assert workload["winner_first"]
-        assert workload["ranking_agreement"]
+        assert [w["workload"] for w in report["workloads"]] == list(names)
+        for workload in report["workloads"]:
+            assert workload["winner_first"], workload["workload"]
+            assert workload["ranking_agreement"], workload["workload"]

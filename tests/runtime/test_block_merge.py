@@ -33,7 +33,7 @@ from repro.ocal.builders import (
     zip_,
 )
 from repro.ocal.interp import evaluate
-from repro.runtime import ExecutionConfig, InputSpec, SimExecutor
+from repro.runtime import AnalyticInterpreter, ExecutionConfig, InputSpec
 from repro.runtime.accounting import merge_levels
 from repro.runtime.faults import FaultPlan, RetryPolicy
 from repro.runtime.filestore import (
@@ -564,7 +564,7 @@ def test_sim_treefold_charges_exact_levels():
         input_locations={"Rs": "HDD"},
         output_location="HDD",
     )
-    result = SimExecutor(config).run(sort, {"Rs": InputSpec(2**21, 8)})
+    result = AnalyticInterpreter(config).run(sort, {"Rs": InputSpec(2**21, 8)})
     assert result.stats.tuples_processed == 2**21 * 7
 
 

@@ -31,10 +31,10 @@ from repro.ocal.builders import (
     zip_,
 )
 from repro.runtime import (
+    AnalyticInterpreter,
     ExecutionConfig,
     ExecutionError,
     InputSpec,
-    SimExecutor,
 )
 
 
@@ -53,7 +53,7 @@ class TestScans:
         loop = for_(
             "xB", v("A"), for_("x", v("xB"), sing(v("x"))), block_in=2**20
         )
-        result = SimExecutor(config()).run(
+        result = AnalyticInterpreter(config()).run(
             loop, {"A": InputSpec(2**24, 8)}
         )
         nbytes = 2**24 * 8
@@ -64,7 +64,7 @@ class TestScans:
     def test_unblocked_scan_streams_sequentially(self):
         # Single-element requests with no other device activity coalesce.
         loop = for_("x", v("A"), sing(v("x")))
-        result = SimExecutor(config()).run(loop, {"A": InputSpec(10**6, 8)})
+        result = AnalyticInterpreter(config()).run(loop, {"A": InputSpec(10**6, 8)})
         assert result.stats.device("HDD").seeks == 1
 
     def test_interleaved_inner_scan_seeks_per_pass(self):
@@ -83,7 +83,7 @@ class TestScans:
             ),
             block_in=2**15,
         )
-        result = SimExecutor(
+        result = AnalyticInterpreter(
             config(cond_probability=0.0, output_card_override=0.0)
         ).run(
             nested,
@@ -102,7 +102,7 @@ class TestFolds:
                    block_in=2**16),
             v("A"),
         )
-        result = SimExecutor(config()).run(agg, {"A": InputSpec(2**24, 8)})
+        result = AnalyticInterpreter(config()).run(agg, {"A": InputSpec(2**24, 8)})
         assert result.stats.device("HDD").bytes_read == pytest.approx(
             2**24 * 8
         )
@@ -111,10 +111,10 @@ class TestFolds:
     def test_spilled_accumulator_is_quadratic(self):
         sort = app(fold_l(empty(), unfold_r(mrg())), v("Rs"))
         tight = config(hierarchy=hdd_ram_hierarchy(1 * MB))
-        small = SimExecutor(tight).run(
+        small = AnalyticInterpreter(tight).run(
             sort, {"Rs": InputSpec(4 * 10**4, 8)}  # fits in 1 MiB of RAM
         )
-        big = SimExecutor(
+        big = AnalyticInterpreter(
             config(hierarchy=hdd_ram_hierarchy(1 * MB))
         ).run(
             sort, {"Rs": InputSpec(4 * 10**5, 8)}  # spills to disk
@@ -134,7 +134,7 @@ class TestSort:
             v("Rs"),
         )
         cfg = config(output_location="HDD")
-        result = SimExecutor(cfg).run(sort, {"Rs": InputSpec(2**20, 8)})
+        result = AnalyticInterpreter(cfg).run(sort, {"Rs": InputSpec(2**20, 8)})
         import math
 
         levels = math.ceil(math.log(2**20, 4))
@@ -157,7 +157,7 @@ class TestSort:
                 ),
                 v("Rs"),
             )
-            return SimExecutor(config(output_location="HDD")).run(
+            return AnalyticInterpreter(config(output_location="HDD")).run(
                 sort, {"Rs": InputSpec(2**20, 8)}
             )
 
@@ -188,7 +188,7 @@ class TestGrace:
 
     def test_reads_everything_twice_writes_once(self):
         cfg = config(cond_probability=1e-6, output_card_override=100.0)
-        result = SimExecutor(cfg).run(
+        result = AnalyticInterpreter(cfg).run(
             self.grace(),
             {"R": InputSpec(2**21, 512), "S": InputSpec(2**16, 512)},
         )
@@ -238,10 +238,10 @@ class TestWriteOut:
         )
 
     def test_same_disk_interference_costs_seeks(self):
-        same = SimExecutor(
+        same = AnalyticInterpreter(
             config(output_location="HDD", output_card_override=2.0**24)
         ).run(self.scan(), {"A": InputSpec(2**24, 8)})
-        other = SimExecutor(
+        other = AnalyticInterpreter(
             config(
                 hierarchy=two_hdd_hierarchy(8 * MB),
                 output_location="HDD2",
@@ -254,7 +254,7 @@ class TestWriteOut:
         ).seeks
 
     def test_flash_output_counts_erases(self):
-        result = SimExecutor(
+        result = AnalyticInterpreter(
             config(
                 hierarchy=hdd_flash_hierarchy(8 * MB),
                 output_location="SSD",
@@ -281,10 +281,10 @@ class TestConfigKnobs:
                 ),
             ),
         )
-        dense = SimExecutor(config(cond_probability=1.0)).run(
+        dense = AnalyticInterpreter(config(cond_probability=1.0)).run(
             join, {"R": InputSpec(100, 8), "S": InputSpec(100, 8)}
         )
-        sparse = SimExecutor(config(cond_probability=0.01)).run(
+        sparse = AnalyticInterpreter(config(cond_probability=0.01)).run(
             join, {"R": InputSpec(100, 8), "S": InputSpec(100, 8)}
         )
         assert dense.output_card == pytest.approx(10_000)
@@ -292,7 +292,7 @@ class TestConfigKnobs:
 
     def test_override_wins(self):
         scan = for_("x", v("A"), sing(v("x")))
-        result = SimExecutor(
+        result = AnalyticInterpreter(
             config(output_card_override=42.0)
         ).run(scan, {"A": InputSpec(1000, 8)})
         assert result.output_card == 42.0
@@ -300,8 +300,8 @@ class TestConfigKnobs:
     def test_unbound_parameter_rejected(self):
         loop = for_("xB", v("A"), v("xB"), block_in="k1")
         with pytest.raises(ExecutionError):
-            SimExecutor(config()).run(loop, {"A": InputSpec(10, 8)})
+            AnalyticInterpreter(config()).run(loop, {"A": InputSpec(10, 8)})
 
     def test_unbound_variable_rejected(self):
         with pytest.raises(ExecutionError):
-            SimExecutor(config()).run(v("nope"), {})
+            AnalyticInterpreter(config()).run(v("nope"), {})
